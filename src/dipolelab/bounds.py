@@ -16,7 +16,6 @@ are reproducible bit-for-bit and never extrapolated to the continuum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -282,11 +281,6 @@ class BoundsReport:
             "grid_shape": list(self.grid_shape),
             "grid_lengths": list(self.grid_lengths),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def format_table(self) -> str:
         lines = ["alpha      q(alpha)"]

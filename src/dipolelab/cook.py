@@ -9,30 +9,31 @@ terminal error by
          + (1/w^2) ||(a(r/lam, w s)^2 - a(0, w s)^2) psi_s||,
 
 where psi_s is the dipole-evolved state.  Only the dipole trajectory is
-needed to produce B, which is what makes the certificate usable a-posteriori;
-the full-coupling run is optional and used to report the measured error.
+needed to produce B, which is what makes the certificate usable a-posteriori.
+B is composite Simpson over the fine nodes; the same samples at every other
+node give a coarse B, and a fine/coarse gap above QUAD_SELF_TOL (relative)
+flags the quadrature.  The measured error e that B is compared against comes
+from the full-coupling runs of the harness sweep.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .fields import PULSE, PULSE_WINDOW, ScaledField, grid_ray_coordinate, profile_value
-from .hamiltonians import DIPOLE_VELOCITY, HamiltonianSpec, full_coupling
-from .propagate import KRYLOV, SPLIT, StepperConfig, evolve
-from .spatial import WaveFunction, norm, spectral_gradient
+from .fields import ScaledField, grid_components, grid_profiles, profile_value
+from .hamiltonians import HamiltonianSpec
+from .propagate import SPLIT, StepperConfig, evolve
+from .spatial import WaveFunction, spectral_gradient
 
 QUAD_SELF_TOL = 0.01
 
 
 @dataclass
 class CookReport:
-    """Certified bound, quadrature data, and the optional measured error."""
+    """Certified bound, quadrature data, and the measured error it certifies."""
 
     lam: float
     omega: float
@@ -64,36 +65,21 @@ class CookReport:
         out.update(self.metadata)
         return out
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "g"])
-            for s, g in zip(self.nodes, self.g_values):
-                writer.writerow([repr(float(s)), repr(float(g))])
-
 
 def envelope_difference_arrays(fld: ScaledField, s: float, grid):
     """On-grid components of a(r/lam, w s) - a(0, w s) and the |a|^2 difference."""
     env = fld.envelope
     d = grid.per_particle_dim
+    eps = grid_components(env.eps_hat, grid)
     f0 = float(profile_value(env.kind, -fld.omega * s))
     diff_axes = []
     sq_diff = np.zeros((1,) * grid.dim)
-    for p in range(grid.particles):
-        u = grid_ray_coordinate(env, grid, p, fld.lam, fld.omega * s)
-        f = profile_value(env.kind, u)
+    for p, f in enumerate(grid_profiles(env, grid, fld.lam, fld.omega * s)):
         ap = env.amplitude * f
         a0 = env.amplitude * f0
         sq_diff = sq_diff + (ap * ap - a0 * a0)
-        for i in range(d):
-            eps_i = env.eps_hat[i] if i < env.field_dim else 0.0
-            if eps_i != 0.0:
-                diff_axes.append((p * d + i, (ap - a0) * eps_i))
+        for i in np.flatnonzero(eps):
+            diff_axes.append((p * d + i, (ap - a0) * eps[i]))
     return diff_axes, sq_diff
 
 
@@ -129,13 +115,15 @@ def simpson_weights(panels: int, t0: float, t: float) -> tuple[np.ndarray, np.nd
 
 def _bound_from_samples(fld: ScaledField, nodes: np.ndarray,
                         states: list[WaveFunction], panels: int):
+    """(g_values, B, B_coarse, quad_flag) from dipole states at the fine nodes."""
     g_values = np.array([cook_integrand(fld, s, psi)
                          for s, psi in zip(nodes, states)])
     _, w_fine = simpson_weights(2 * panels, nodes[0], nodes[-1])
     _, w_coarse = simpson_weights(panels, nodes[0], nodes[-1])
     bound_fine = float(w_fine @ g_values)
     bound_coarse = float(w_coarse @ g_values[::2])
-    return g_values, bound_fine, bound_coarse
+    flag = abs(bound_fine - bound_coarse) > QUAD_SELF_TOL * max(bound_fine, 1e-30)
+    return g_values, bound_fine, bound_coarse, flag
 
 
 def dipole_node_trajectory(spec_inf: HamiltonianSpec, psi0: WaveFunction,
@@ -153,61 +141,3 @@ def dipole_node_trajectory(spec_inf: HamiltonianSpec, psi0: WaveFunction,
                            store_states=True, sample_times=tuple(nodes))
     traj = evolve(spec_inf, psi0, config)
     return nodes, traj
-
-
-def cook_bound(fld: ScaledField, psi0: WaveFunction, t0: float, t: float,
-               spec_inf: HamiltonianSpec, panels: int = 16,
-               dt: float | None = None, measure_full: bool = False,
-               krylov_m: int = 24, krylov_tol: float = 1e-10,
-               max_refinements: int = 2) -> CookReport:
-    """Certified bound B for ||(U_lam - U_inf) psi0||(t), eq-by-construction >= 0.
-
-    The dipole trajectory is integrated with the split stepper and sampled at
-    composite-Simpson nodes; panel doubling must agree to 1% or the panel
-    count is doubled (up to max_refinements) before the report is flagged.
-    With measure_full the full-coupling trajectory is also run and the
-    measured terminal error and slack B - e are filled in.
-    """
-    if spec_inf.kind != DIPOLE_VELOCITY:
-        raise ConfigError("the certificate integrates along the dipole-velocity trajectory")
-    if spec_inf.field.envelope is not fld.envelope:
-        raise ConfigError("certificate field and dipole generator use different envelopes")
-    if abs(spec_inf.field.omega - fld.omega) > 0.0:
-        raise ConfigError("certificate field and dipole generator disagree on omega")
-    if panels < 16:
-        raise ConfigError("need at least 16 Simpson panels")
-
-    current_panels = panels
-    for attempt in range(max_refinements + 1):
-        nodes, traj = dipole_node_trajectory(spec_inf, psi0, t0, t,
-                                             current_panels, dt)
-        g_values, bound_fine, bound_coarse = _bound_from_samples(
-            fld, nodes, traj.states, current_panels)
-        self_err = abs(bound_fine - bound_coarse)
-        ok = self_err <= QUAD_SELF_TOL * max(bound_fine, 1e-30)
-        if ok or attempt == max_refinements:
-            break
-        current_panels *= 2
-
-    _, weights = simpson_weights(2 * current_panels, t0, t)
-    report = CookReport(
-        lam=fld.lam, omega=fld.omega, nodes=nodes, weights=weights,
-        g_values=g_values, bound=bound_fine, bound_coarse=bound_coarse,
-        quad_self_error=self_err, quad_flag=not ok,
-        metadata={"panels": current_panels, "t0": t0, "t": t})
-    if fld.envelope.kind == PULSE:
-        report.metadata["pulse_window"] = PULSE_WINDOW
-
-    if measure_full:
-        spec_full = full_coupling(fld, spec_inf.potential)
-        substeps = max(1, int(round((nodes[1] - nodes[0]) / (dt or (nodes[1] - nodes[0]) / 4.0))))
-        full_dt = (nodes[1] - nodes[0]) / substeps
-        config = StepperConfig(dt=full_dt, t0=t0, t_final=t, method=KRYLOV,
-                               krylov_m=krylov_m, krylov_tol=krylov_tol,
-                               store_states=True)
-        traj_full = evolve(spec_full, psi0, config)
-        diff = traj_full.terminal_state.values - traj.states[-1].values
-        e = float(np.linalg.norm(diff.ravel())) * np.sqrt(psi0.grid.cell_volume)
-        report.measured_error = e
-        report.slack = report.bound - e
-    return report

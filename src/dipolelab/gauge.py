@@ -9,17 +9,12 @@ phase, which is why state comparison here is phase-insensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .fields import ScaledField
 from .hamiltonians import dipole_coupling
 from .spatial import WaveFunction, inner_product, norm
-
-VELOCITY_TO_LENGTH = "velocity_to_length"
-LENGTH_TO_VELOCITY = "length_to_velocity"
 
 
 def _phase_field(field: ScaledField, t: float, grid) -> np.ndarray:
@@ -41,28 +36,6 @@ def length_to_velocity(psi_l: WaveFunction, field: ScaledField, t: float) -> Wav
     """Inverse multiplier exp(+i b(t).r)."""
     phase = _phase_field(field, t, psi_l.grid)
     return WaveFunction(psi_l.grid, psi_l.values * np.exp(1j * phase))
-
-
-@dataclass(frozen=True, eq=False)
-class GaugeMap:
-    """Directional wrapper around the multiplier; involutive with its inverse."""
-
-    field: ScaledField
-    direction: str
-
-    def __post_init__(self):
-        if self.direction not in (VELOCITY_TO_LENGTH, LENGTH_TO_VELOCITY):
-            raise ConfigError(f"unknown gauge direction {self.direction!r}")
-
-    def apply(self, psi: WaveFunction, t: float) -> WaveFunction:
-        if self.direction == VELOCITY_TO_LENGTH:
-            return velocity_to_length(psi, self.field, t)
-        return length_to_velocity(psi, self.field, t)
-
-    def inverse(self) -> "GaugeMap":
-        other = (LENGTH_TO_VELOCITY if self.direction == VELOCITY_TO_LENGTH
-                 else VELOCITY_TO_LENGTH)
-        return GaugeMap(self.field, other)
 
 
 def phase_fidelity(psi1: WaveFunction, psi2: WaveFunction) -> float:

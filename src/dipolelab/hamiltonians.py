@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (ScaledField, grid_ray_coordinate, is_commensurate,
+from .fields import (ScaledField, grid_components, grid_profiles, is_commensurate,
                      profile_derivative, profile_value)
 from .spatial import Grid, WaveFunction, inner_product
 
@@ -72,14 +72,6 @@ def n_body_soft_core(n_particles: int, eps: float = 1.0) -> PotentialModel:
 
 def zero_potential() -> PotentialModel:
     return PotentialModel(ZERO_POTENTIAL)
-
-
-def build_nbody(n_particles: int, eps: float, grid: Grid) -> PotentialModel:
-    """n_body_soft_core validated against a product grid."""
-    if grid.particles != n_particles:
-        raise ConfigError(
-            f"grid holds {grid.particles} particles, requested {n_particles}")
-    return n_body_soft_core(n_particles, eps)
 
 
 _potential_cache: dict = {}
@@ -177,12 +169,7 @@ def dipole_coupling(field: ScaledField, t: float, grid: Grid):
     env = field.envelope
     f0 = float(profile_value(env.kind, -field.omega * t))
     scale = env.amplitude * f0 / field.omega
-    d = grid.per_particle_dim
-    b_axis = np.zeros(grid.dim)
-    for p in range(grid.particles):
-        for i in range(d):
-            eps_i = env.eps_hat[i] if i < env.field_dim else 0.0
-            b_axis[p * d + i] = scale * eps_i
+    b_axis = np.tile(scale * grid_components(env.eps_hat, grid), grid.particles)
     b_sq_total = grid.particles * scale * scale
     return b_axis, b_sq_total
 
@@ -193,13 +180,11 @@ def length_gauge_term(field: ScaledField, t: float, grid: Grid) -> np.ndarray:
     # a(0, s) = E f(-s) eps_hat, so d/ds a(0, s) = -E f'(-s) eps_hat.
     adot = -env.amplitude * float(profile_derivative(env.kind, -field.omega * t, 1))
     d = grid.per_particle_dim
+    eps = grid_components(env.eps_hat, grid)
     term = np.zeros((1,) * grid.dim)
     for p in range(grid.particles):
-        for i in range(d):
-            eps_i = env.eps_hat[i] if i < env.field_dim else 0.0
-            if eps_i == 0.0:
-                continue
-            term = term + adot * eps_i * grid.mesh(p * d + i)
+        for i in np.flatnonzero(eps):
+            term = term + adot * eps[i] * grid.mesh(p * d + i)
     return np.broadcast_to(term, grid.shape) if term.shape != grid.shape else term
 
 
@@ -212,18 +197,15 @@ def full_coupling_arrays(field: ScaledField, t: float, grid: Grid):
     """
     env = field.envelope
     d = grid.per_particle_dim
+    eps = grid_components(env.eps_hat, grid)
     amp = env.amplitude / field.omega
     b_axes = []
     b_sq = np.zeros((1,) * grid.dim)
-    for p in range(grid.particles):
-        u = grid_ray_coordinate(env, grid, p, field.lam, field.omega * t)
-        f = profile_value(env.kind, u)
+    for p, f in enumerate(grid_profiles(env, grid, field.lam, field.omega * t)):
         bp = amp * f
         b_sq = b_sq + bp * bp
-        for i in range(d):
-            eps_i = env.eps_hat[i] if i < env.field_dim else 0.0
-            if eps_i != 0.0:
-                b_axes.append((p * d + i, bp * eps_i))
+        for i in np.flatnonzero(eps):
+            b_axes.append((p * d + i, bp * eps[i]))
     return b_axes, b_sq
 
 

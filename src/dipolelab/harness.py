@@ -208,10 +208,9 @@ class StudyConfig:
     @classmethod
     def from_ini(cls, path) -> "StudyConfig":
         cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
         try:
+            if not cp.read(path):
+                raise ConfigError(f"cannot read config file {path}")
             grid = cp["grid"]
             fld = cp["field"]
             pot = cp["potential"]
@@ -247,8 +246,10 @@ class StudyConfig:
                 krylov_tol=run.getfloat("krylov_tol", 1e-10),
                 seed=run.getint("seed", 20240901),
             )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad config file {path}: {exc}") from exc
+        except (configparser.Error, KeyError, ValueError) as exc:
+            # parser messages span lines; the CLI reports one line
+            detail = " ".join(str(exc).split())
+            raise ConfigError(f"bad config file {path}: {detail}") from exc
 
 
 def preset_config(name: str) -> StudyConfig:
@@ -345,10 +346,8 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
             traj = evolve(spec_full, psi0, stepper)
             diff = traj.terminal_state.values - psi_inf_final.values
             err = float(np.linalg.norm(diff.ravel())) * np.sqrt(grid.cell_volume)
-            g_values, b_fine, b_coarse = _bound_from_samples(
+            g_values, b_fine, b_coarse, flag = _bound_from_samples(
                 fld, nodes, dipole_states, config.panels)
-            self_err = abs(b_fine - b_coarse)
-            flag = self_err > 0.01 * max(b_fine, 1e-30)
             return LambdaRecord(lam, err, b_fine, b_coarse, flag, g_values,
                                 time.perf_counter() - tick)
         except DipoleLabError as exc:

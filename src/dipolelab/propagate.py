@@ -127,64 +127,60 @@ def step_split(spec: HamiltonianSpec, psi: WaveFunction, t: float,
     return WaveFunction(psi.grid, stepper(psi.values, t + 0.5 * dt))
 
 
+def _lanczos(apply_fn, v0: np.ndarray, m: int):
+    """Lanczos tridiagonalisation of apply_fn on the Krylov space of the unit vector v0.
+
+    Yields (V, alphas, betas, b) after each new basis vector: the basis rows
+    V, the tridiagonal T = tridiag(betas, alphas, betas) and the norm b of the
+    next residual.  The basis is preallocated as (m, N), and each residual is
+    re-orthogonalised against the whole basis by block classical Gram-Schmidt,
+    applied twice.  At most m vectors are built; the caller stops early by
+    leaving the loop.
+    """
+    shape = v0.shape
+    V = np.empty((m, v0.size), dtype=complex)
+    V[0] = v0.ravel()
+    alphas = np.empty(m)
+    betas = np.empty(m - 1)
+    for j in range(m):
+        w = apply_fn(V[j].reshape(shape)).ravel()
+        basis = V[:j + 1]
+        # (basis @ w.conj()).conj() is V[:j+1].conj() @ w without copying the basis
+        h = (basis @ w.conj()).conj()
+        alphas[j] = h[j].real
+        w -= basis.T @ h
+        w -= basis.T @ (basis @ w.conj()).conj()
+        b = float(np.linalg.norm(w))
+        yield basis, alphas[:j + 1], betas[:j], b
+        if j + 1 < m:
+            betas[j] = b
+            V[j + 1] = w / b
+
+
 def _lanczos_expm(apply_fn, values: np.ndarray, dt: float, m: int, tol: float):
-    """exp(-i dt H) values via a Lanczos subspace with full reorthogonalization.
+    """exp(-i dt H) values from a Lanczos subspace of at most m vectors.
 
     Returns (new_values | None, residual_estimate).  None signals that the
     subspace budget m was exhausted before the residual estimate dropped
     below tol.
     """
-    shape = values.shape
-    v0 = values.ravel()
-    beta0 = np.linalg.norm(v0)
+    beta0 = np.linalg.norm(values.ravel())
     if beta0 == 0.0:
         return values.copy(), 0.0
-    basis = [v0 / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    w = apply_fn(basis[0].reshape(shape)).ravel()
-    a = float(np.vdot(basis[0], w).real)
-    alphas.append(a)
-    w = w - a * basis[0]
-
-    for j in range(1, m + 1):
-        b = float(np.linalg.norm(w))
-        lam, q = eigh_tridiagonal(alphas, betas) if betas else (np.array(alphas), np.eye(1))
+    for V, alphas, betas, b in _lanczos(apply_fn, values / beta0, m):
+        lam, q = eigh_tridiagonal(alphas, betas)
         u = q @ (np.exp(-1j * dt * lam) * q[0, :])
         est = abs(dt) * b * abs(u[-1])
         if est <= tol or b <= 1e-14 * beta0:
-            out = sum(u[i] * basis[i] for i in range(len(basis)))
-            return (beta0 * out).reshape(shape), est
-        if j == m:
-            return None, est
-        vj = w / b
-        for prev in basis:
-            vj = vj - np.vdot(prev, vj) * prev
-        vj = vj / np.linalg.norm(vj)
-        betas.append(b)
-        basis.append(vj)
-        w = apply_fn(vj.reshape(shape)).ravel() - b * basis[j - 1]
-        a = float(np.vdot(vj, w).real)
-        alphas.append(a)
-        w = w - a * vj
-        for prev in basis:
-            w = w - np.vdot(prev, w) * prev
-    raise AssertionError("unreachable")
-
-
-_herm_guard_cache: dict = {}
+            return (beta0 * (u @ V)).reshape(values.shape), est
+    return None, est
 
 
 def _check_hermiticity_guard(spec: HamiltonianSpec, t: float, grid: Grid) -> None:
-    key = (id(spec), id(grid))
-    entry = _herm_guard_cache.get(key)
-    if entry is not None and entry[0] is spec and entry[1] is grid:
-        return
     defect = hermiticity_defect(spec, t, grid)
     if defect > KRYLOV_GUARD:
         raise NumericalError(
             f"hermiticity defect {defect:.2e} exceeds the Krylov guard {KRYLOV_GUARD}")
-    _herm_guard_cache[key] = (spec, grid, defect)
 
 
 def _krylov_step_values(spec: HamiltonianSpec, grid: Grid, values: np.ndarray,
@@ -276,6 +272,8 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
         t_mid = config.t0 + (j + 0.5) * config.dt
         values = stepper(values, t_mid)
         cur_norm = float(np.linalg.norm(values.ravel())) * sqrt_vol
+        if not np.isfinite(cur_norm):
+            raise NumericalError(f"state became non-finite at step {j}")
         drift = abs(cur_norm - prev_norm)
         if drift > bound:
             raise NumericalError(
@@ -359,67 +357,13 @@ def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8,
 
 def _lanczos_lowest(apply_fn, values: np.ndarray, m: int) -> np.ndarray:
     """One Lanczos restart: lowest Ritz vector from a fresh subspace."""
-    shape = values.shape
-    v0 = values.ravel()
-    v0 = v0 / np.linalg.norm(v0)
-    basis = [v0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    w = apply_fn(v0.reshape(shape)).ravel()
-    a = float(np.vdot(v0, w).real)
-    alphas.append(a)
-    w = w - a * v0
-    for j in range(1, m):
-        b = float(np.linalg.norm(w))
+    v0 = values / np.linalg.norm(values.ravel())
+    for V, alphas, betas, b in _lanczos(apply_fn, v0, m):
         if b < 1e-14:
             break
-        vj = w / b
-        for prev in basis:
-            vj = vj - np.vdot(prev, vj) * prev
-        vj = vj / np.linalg.norm(vj)
-        betas.append(b)
-        basis.append(vj)
-        w = apply_fn(vj.reshape(shape)).ravel() - b * basis[j - 1]
-        a = float(np.vdot(vj, w).real)
-        alphas.append(a)
-        w = w - a * vj
-        for prev in basis:
-            w = w - np.vdot(prev, w) * prev
-    lam, q = eigh_tridiagonal(alphas, betas) if betas else (np.array(alphas), np.eye(1))
-    coeff = q[:, 0]
-    out = sum(coeff[i] * basis[i] for i in range(len(basis)))
-    out = out / np.linalg.norm(out)
-    return out.reshape(shape)
-
-
-def write_observables_csv(traj: Trajectory, path) -> None:
-    """Observable series as CSV rows (t, observable name, value)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "observable", "value"])
-        for name in sorted(traj.observables):
-            for t, val in zip(traj.times, traj.observables[name]):
-                writer.writerow([repr(float(t)), name, repr(float(val))])
-
-
-def export_snapshots(traj: Trajectory, directory) -> list:
-    """Dump stored states in the binary snapshot format, one file per time."""
-    from pathlib import Path
-
-    from .spatial import write_snapshot
-
-    if not traj.states:
-        raise ConfigError("trajectory was run without stored states")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-        path = directory / f"state_{idx:05d}.dplw"
-        write_snapshot(path, state)
-        paths.append(path)
-    return paths
+    _, q = eigh_tridiagonal(alphas, betas)
+    out = q[:, 0] @ V
+    return (out / np.linalg.norm(out)).reshape(values.shape)
 
 
 DENSE_ORACLE_CAP = 64

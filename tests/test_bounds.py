@@ -145,7 +145,7 @@ def test_sobolev_norm_reduces_to_l2():
     assert bounds.sobolev_norm(flat) == pytest.approx(spatial.norm(flat), abs=1e-12)
 
 
-def test_bounds_suite_reproducible(tmp_path):
+def test_bounds_suite_reproducible():
     env = fields.transverse_envelope("cw", 0.25, 1)
     fld = fields.ScaledField(env, 10.0, 1.0)
     spec = ham.dipole_velocity(fld, ham.soft_core_coulomb(1.0, 1.0))
@@ -155,8 +155,7 @@ def test_bounds_suite_reproducible(tmp_path):
     rep2 = bounds.run_bounds_suite(spec, 0.1, g, seed=33,
                                    alphas=(1.0, 10.0, 100.0))
     assert rep1.to_json_dict() == rep2.to_json_dict()
-    rep1.write_json(tmp_path / "bounds.json")
-    payload = json.loads((tmp_path / "bounds.json").read_text())
+    payload = json.loads(json.dumps(rep1.to_json_dict()))
     assert payload["seed"] == 33
     table = rep1.format_table()
     assert "alpha" in table and "C_eps" in table.replace("C_eps", "C_eps")

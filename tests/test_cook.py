@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from test_harness import trimmed_config
 
-from dipolelab import cook, fields, hamiltonians as ham, propagate as prop, spatial
+from dipolelab import (cli, cook, fields, harness, hamiltonians as ham,
+                       propagate as prop, spatial)
 from dipolelab.errors import ConfigError
 
 
@@ -96,59 +100,23 @@ def test_simpson_weights_match_scipy():
         cook.simpson_weights(0, 0.0, 1.0)
 
 
-def test_cook_bound_zero_field():
-    g = spatial.make_grid(1, 128, 40.0)
-    fld = fields.ScaledField(fields.zero_envelope(2), 10.0, 1.0)
-    pot = ham.soft_core_coulomb(1.0, 1.0)
-    _, psi = prop.ground_state_imaginary_time(pot, g, tol=1e-7)
-    spec_inf = ham.dipole_velocity(fld, pot)
-    rep = cook.cook_bound(fld, psi, 0.01, 0.01 + 0.64, spec_inf, panels=16,
-                          measure_full=True)
-    assert rep.bound == 0.0
-    assert rep.measured_error <= 1e-6   # stepper mismatch floor only
+@pytest.fixture(scope="module")
+def trimmed_reports():
+    return harness.run_cook_comparison(trimmed_config())
 
 
-def test_cook_bound_certifies_measured_error():
-    g, env, fld, pot = transverse_setup(lam=20.0)
-    _, psi = prop.ground_state_imaginary_time(pot, g, tol=1e-7)
-    spec_inf = ham.dipole_velocity(fld, pot)
-    t0 = 2 * np.pi / 512
-    rep = cook.cook_bound(fld, psi, t0, t0 + 2 * np.pi, spec_inf, panels=16,
-                          dt=2 * np.pi / 512, measure_full=True)
-    assert rep.measured_error <= 1.05 * rep.bound + 1e-6
-    assert rep.slack == pytest.approx(rep.bound - rep.measured_error)
-    assert not rep.quad_flag
-    assert np.all(rep.g_values >= 0.0)
+def test_cook_bound_certifies_measured_error(trimmed_reports):
+    for rep in trimmed_reports:
+        assert rep.measured_error <= 1.05 * rep.bound + 1e-6
+        assert rep.slack == pytest.approx(rep.bound - rep.measured_error)
+        assert not rep.quad_flag
+        assert np.all(rep.g_values >= 0.0)
 
 
-def test_cook_bound_halves_per_lambda_doubling():
-    g, env, _, pot = transverse_setup()
-    _, psi = prop.ground_state_imaginary_time(pot, g, tol=1e-7)
-    t0 = 2 * np.pi / 512
-    bounds = {}
-    for lam in (20.0, 40.0):
-        fld = fields.ScaledField(env, lam, 1.0)
-        spec_inf = ham.dipole_velocity(fld, pot)
-        rep = cook.cook_bound(fld, psi, t0, t0 + 2 * np.pi, spec_inf,
-                              panels=16, dt=2 * np.pi / 512)
-        bounds[lam] = rep.bound
+def test_cook_bound_halves_per_lambda_doubling(trimmed_reports):
+    bounds = {rep.lam: rep.bound for rep in trimmed_reports}
     ratio = bounds[40.0] / bounds[20.0]
     assert 0.4 <= ratio <= 0.6
-
-
-def test_cook_bound_validation():
-    g, env, fld, pot = transverse_setup()
-    psi = spatial.gaussian_packet(g, 0.0, 1.0, 0.0)
-    spec_inf = ham.dipole_velocity(fld, pot)
-    with pytest.raises(ConfigError):
-        cook.cook_bound(fld, psi, 0.01, 1.01, spec_inf, panels=8)
-    spec_full = ham.full_coupling(fld, pot)
-    with pytest.raises(ConfigError):
-        cook.cook_bound(fld, psi, 0.01, 1.01, spec_full, panels=16)
-    other_env_field = fields.ScaledField(
-        fields.transverse_envelope("cw", 0.25, 1), fld.lam, fld.omega)
-    with pytest.raises(ConfigError):
-        cook.cook_bound(other_env_field, psi, 0.01, 1.01, spec_inf, panels=16)
 
 
 def test_integrand_depends_on_c_only_through_omega():
@@ -163,18 +131,11 @@ def test_integrand_depends_on_c_only_through_omega():
 
 
 def test_report_serialization(tmp_path):
-    g, env, fld, pot = transverse_setup(lam=20.0)
-    _, psi = prop.ground_state_imaginary_time(pot, g, tol=1e-7)
-    spec_inf = ham.dipole_velocity(fld, pot)
-    t0 = 2 * np.pi / 512
-    rep = cook.cook_bound(fld, psi, t0, t0 + np.pi, spec_inf, panels=16,
-                          dt=np.pi / 256)
-    rep.write_json(tmp_path / "report.json")
-    rep.write_csv(tmp_path / "report.csv")
-    import json
-    payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["lambda"] == 20.0
-    assert len(payload["g_values"]) == len(rep.nodes)
-    rows = (tmp_path / "report.csv").read_text().strip().splitlines()
-    assert rows[0] == "s,g"
-    assert len(rows) == 1 + len(rep.nodes)
+    ini = tmp_path / "study.ini"
+    trimmed_config().write_ini(ini)
+    assert cli.main(["cook", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "cook_reports.json").read_text())
+    assert [r["lambda"] for r in payload["reports"]] == [20.0, 40.0]
+    for rep in payload["reports"]:
+        assert len(rep["g_values"]) == len(rep["nodes"]) == len(rep["weights"])
+        assert rep["slack"] == pytest.approx(rep["bound"] - rep["measured_error"])

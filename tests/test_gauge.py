@@ -42,19 +42,6 @@ def test_roundtrip_is_identity(t):
     assert np.max(np.abs(back.values - psi.values)) < 1e-13
 
 
-def test_gauge_map_wrapper_involutive():
-    g = spatial.make_grid(2, [16, 16], [8.0, 8.0])
-    fld = cw_field(in_plane=True)
-    fwd = gauge.GaugeMap(fld, gauge.VELOCITY_TO_LENGTH)
-    rng = np.random.default_rng(8)
-    psi = spatial.normalize(spatial.WaveFunction(
-        g, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))))
-    back = fwd.inverse().apply(fwd.apply(psi, 1.7), 1.7)
-    assert np.max(np.abs(back.values - psi.values)) < 1e-13
-    with pytest.raises(ConfigError):
-        gauge.GaugeMap(fld, "sideways")
-
-
 def _cross_gauge_min_fidelity(grid, fld, potential, dt, t0, t1, n_marks=8):
     spec_v = ham.dipole_velocity(fld, potential)
     spec_l = ham.dipole_length(fld, potential)

@@ -132,7 +132,7 @@ def test_nbody_reduces_to_soft_core():
 
 def test_nbody_pointwise_value():
     g = spatial.make_grid(2, [64, 64], [32.0, 32.0], particles=2)
-    pot = ham.build_nbody(2, 1.0, g)
+    pot = ham.n_body_soft_core(2, 1.0)
     v = ham.potential_on_grid(pot, g)
     xs = g.axis_coordinates(0)
     i = int(np.argmin(np.abs(xs - 1.0)))
@@ -151,7 +151,7 @@ def test_nbody_exchange_symmetry():
 def test_nbody_dimension_mismatch():
     g = spatial.make_grid(2, [32, 32], [20.0, 20.0], particles=2)
     with pytest.raises(ConfigError):
-        ham.build_nbody(3, 1.0, g)
+        ham.potential_on_grid(ham.n_body_soft_core(3, 1.0), g)
 
 
 def test_potential_factory_validation():

@@ -171,6 +171,16 @@ def test_cli_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["dim = 1\n", "[grid]\ndim = 1\ndim = 2\n"],
+                         ids=["no-section-header", "duplicate-key"])
+def test_cli_malformed_ini(tmp_path, capsys, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert cli.main(["sweep", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_cli_unknown_subcommand():
     assert cli.main(["transmogrify"]) == 1
 
