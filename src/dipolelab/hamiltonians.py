@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import (ScaledField, grid_components, grid_profiles, is_commensurate,
                      profile_derivative, profile_value)
-from .spatial import Grid, WaveFunction, inner_product
+from .spatial import Grid, WaveFunction, fourier_pair, inner_product
 
 FULL = "full"
 DIPOLE_VELOCITY = "dipole_velocity"
@@ -74,11 +74,16 @@ def zero_potential() -> PotentialModel:
     return PotentialModel(ZERO_POTENTIAL)
 
 
+POTENTIAL_CACHE_SIZE = 8
 _potential_cache: dict = {}
 
 
 def potential_on_grid(pot: PotentialModel, grid: Grid) -> np.ndarray:
-    """Sampled potential values, cached per (potential, grid geometry)."""
+    """Sampled potential values (read-only), cached per (potential, grid geometry).
+
+    The cache keeps the POTENTIAL_CACHE_SIZE most recently added entries and
+    evicts the oldest first.
+    """
     key = (pot, grid.shape, grid.lengths, grid.particles)
     hit = _potential_cache.get(key)
     if hit is not None:
@@ -87,6 +92,8 @@ def potential_on_grid(pot: PotentialModel, grid: Grid) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ConfigError("potential samples are not finite")
     out.setflags(write=False)
+    while len(_potential_cache) >= POTENTIAL_CACHE_SIZE:
+        del _potential_cache[next(iter(_potential_cache))]
     _potential_cache[key] = out
     return out
 
@@ -214,13 +221,15 @@ def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
     """Closure applying H(t) to raw value arrays; field data frozen at t."""
     v = potential_on_grid(spec.potential, grid)
     k_sq = grid.k_square
+    forward, inverse = fourier_pair(grid)
 
     if spec.kind == DIPOLE_LENGTH:
         v_eff = v + length_gauge_term(spec.field, t, grid)
 
         def apply_length(values: np.ndarray) -> np.ndarray:
-            vhat = np.fft.fftn(values)
-            return np.fft.ifftn(k_sq * vhat) + v_eff * values
+            out = inverse(k_sq * forward(values))
+            out += v_eff * values
+            return out
 
         return apply_length
 
@@ -233,8 +242,9 @@ def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
                 sym = sym - 2.0 * b_axis[axis] * grid.k_mesh(axis)
 
         def apply_velocity(values: np.ndarray) -> np.ndarray:
-            vhat = np.fft.fftn(values)
-            return np.fft.ifftn(sym * vhat) + v_eff * values
+            out = inverse(sym * forward(values))
+            out += v_eff * values
+            return out
 
         return apply_velocity
 
@@ -244,13 +254,15 @@ def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
             "full-coupling generator requires a commensurate field on the grid")
     b_axes, b_sq = full_coupling_arrays(spec.field, t, grid)
     v_eff = v + b_sq
+    # (2i b, i k) per coupled axis: the term 2i b d/dx, d/dx by the multiplier i k
+    grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in b_axes]
 
     def apply_full(values: np.ndarray) -> np.ndarray:
-        vhat = np.fft.fftn(values)
-        out = np.fft.ifftn(k_sq * vhat) + v_eff * values
-        for axis, b in b_axes:
-            grad = np.fft.ifftn(vhat * (1j * grid.k_mesh(axis)))
-            out = out + 2j * b * grad
+        vhat = forward(values)
+        out = inverse(k_sq * vhat)
+        out += v_eff * values
+        for two_ib, ik in grads:
+            out += two_ib * inverse(vhat * ik)
         return out
 
     return apply_full

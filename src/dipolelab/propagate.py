@@ -13,14 +13,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.linalg.blas import dznrm2, zgemv
+from scipy.linalg.lapack import dstev
 
 from .errors import ConfigError, NumericalError
 from .hamiltonians import (DIPOLE_VELOCITY, FULL,
                            HamiltonianSpec, ZERO_POTENTIAL, dipole_coupling,
                            hamiltonian_apply_fn, hermiticity_defect,
                            length_gauge_term, potential_on_grid)
-from .spatial import Grid, WaveFunction, normalize, norm
+from .spatial import Grid, WaveFunction, fourier_pair, normalize, norm
 
 SPLIT = "split"
 KRYLOV = "krylov"
@@ -89,6 +91,7 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
         raise ConfigError("split stepper handles dipole generators only")
     v = potential_on_grid(spec.potential, grid)
     k_sq = grid.k_square
+    forward, inverse = fourier_pair(grid)
 
     if spec.kind == DIPOLE_VELOCITY:
         half_v = np.exp(-0.5j * dt * v)
@@ -102,9 +105,9 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
                 if b != 0.0:
                     sym = sym - 2.0 * b * grid.k_mesh(axis)
             kin = np.exp(-1j * dt * sym)
-            out = half_v * values
-            out = np.fft.ifftn(kin * np.fft.fftn(out))
-            return half_v * out
+            out = inverse(kin * forward(half_v * values))
+            out *= half_v
+            return out
 
         return step
 
@@ -113,9 +116,9 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
     def step_length(values: np.ndarray, t_mid: float) -> np.ndarray:
         v_eff = v + length_gauge_term(spec.field, t_mid, grid)
         half_v = np.exp(-0.5j * dt * v_eff)
-        out = half_v * values
-        out = np.fft.ifftn(kin * np.fft.fftn(out))
-        return half_v * out
+        out = inverse(kin * forward(half_v * values))
+        out *= half_v
+        return out
 
     return step_length
 
@@ -134,8 +137,11 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int):
     V, the tridiagonal T = tridiag(betas, alphas, betas) and the norm b of the
     next residual.  The basis is preallocated as (m, N), and each residual is
     re-orthogonalised against the whole basis by block classical Gram-Schmidt,
-    applied twice.  At most m vectors are built; the caller stops early by
-    leaving the loop.
+    applied twice.  Both passes are BLAS zgemv calls on V[:j+1].T, a
+    Fortran-ordered view of the basis: trans=2 forms the coefficients
+    h = conj(V) w, and beta=1 subtracts V^T h from w in place.  At most m
+    vectors are built; the caller stops early by leaving the loop.
+    apply_fn must return a new array, not a view of its argument.
     """
     shape = v0.shape
     V = np.empty((m, v0.size), dtype=complex)
@@ -144,17 +150,28 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int):
     betas = np.empty(m - 1)
     for j in range(m):
         w = apply_fn(V[j].reshape(shape)).ravel()
-        basis = V[:j + 1]
-        # (basis @ w.conj()).conj() is V[:j+1].conj() @ w without copying the basis
-        h = (basis @ w.conj()).conj()
+        basis = V[:j + 1].T
+        h = zgemv(1.0, basis, w, trans=2)
         alphas[j] = h[j].real
-        w -= basis.T @ h
-        w -= basis.T @ (basis @ w.conj()).conj()
-        b = float(np.linalg.norm(w))
-        yield basis, alphas[:j + 1], betas[:j], b
+        # zgemv copies y when it cannot write into w; its return value is the result
+        w = zgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
+        w = zgemv(-1.0, basis, zgemv(1.0, basis, w, trans=2), beta=1.0, y=w,
+                  overwrite_y=1)
+        b = dznrm2(w)
+        yield V[:j + 1], alphas[:j + 1], betas[:j], b
         if j + 1 < m:
             betas[j] = b
-            V[j + 1] = w / b
+            np.multiply(w, 1.0 / b, out=V[j + 1])
+
+
+def _tridiagonal_eigh(alphas: np.ndarray, betas: np.ndarray):
+    """Eigenvalues and eigenvectors of tridiag(betas, alphas, betas) via LAPACK dstev."""
+    if alphas.size == 1:
+        return alphas.copy(), np.ones((1, 1))
+    lam, q, info = dstev(alphas, betas)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigensolver failed (LAPACK dstev info {info})")
+    return lam, q
 
 
 def _lanczos_expm(apply_fn, values: np.ndarray, dt: float, m: int, tol: float):
@@ -164,15 +181,15 @@ def _lanczos_expm(apply_fn, values: np.ndarray, dt: float, m: int, tol: float):
     subspace budget m was exhausted before the residual estimate dropped
     below tol.
     """
-    beta0 = np.linalg.norm(values.ravel())
+    beta0 = dznrm2(values.ravel())
     if beta0 == 0.0:
         return values.copy(), 0.0
     for V, alphas, betas, b in _lanczos(apply_fn, values / beta0, m):
-        lam, q = eigh_tridiagonal(alphas, betas)
+        lam, q = _tridiagonal_eigh(alphas, betas)
         u = q @ (np.exp(-1j * dt * lam) * q[0, :])
         est = abs(dt) * b * abs(u[-1])
         if est <= tol or b <= 1e-14 * beta0:
-            return (beta0 * (u @ V)).reshape(values.shape), est
+            return zgemv(beta0, V.T, u).reshape(values.shape), est
     return None, est
 
 
@@ -271,7 +288,9 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
     for j in range(nsteps):
         t_mid = config.t0 + (j + 0.5) * config.dt
         values = stepper(values, t_mid)
-        cur_norm = float(np.linalg.norm(values.ravel())) * sqrt_vol
+        # SciPy's dznrm2, not np.linalg.norm: numpy links a second OpenBLAS, and
+        # waking both thread pools in one loop oversubscribes the cores
+        cur_norm = dznrm2(values.ravel()) * sqrt_vol
         if not np.isfinite(cur_norm):
             raise NumericalError(f"state became non-finite at step {j}")
         drift = abs(cur_norm - prev_norm)
@@ -289,9 +308,12 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
 def _field_free_apply(potential, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     v = potential_on_grid(potential, grid)
     k_sq = grid.k_square
+    forward, inverse = fourier_pair(grid)
 
     def apply(values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(k_sq * np.fft.fftn(values)) + v * values
+        out = inverse(k_sq * forward(values))
+        out += v * values
+        return out
 
     return apply
 
@@ -310,6 +332,7 @@ def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8,
     v = potential_on_grid(potential, grid)
     k_sq = grid.k_square
     apply_h = _field_free_apply(potential, grid)
+    forward, inverse = fourier_pair(grid)
     sqrt_vol = np.sqrt(grid.cell_volume)
 
     sigma = max(1.0, 2.5 * max(grid.spacing))
@@ -329,9 +352,8 @@ def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8,
         kin = np.exp(-dt * k_sq)
         energy = rayleigh(values)
         while steps_done < max_iter:
-            out = half_v * values
-            out = np.fft.ifftn(kin * np.fft.fftn(out))
-            out = half_v * out
+            out = inverse(kin * forward(half_v * values))
+            out *= half_v
             out /= np.linalg.norm(out.ravel()) * sqrt_vol
             values = out
             steps_done += 1
@@ -361,7 +383,7 @@ def _lanczos_lowest(apply_fn, values: np.ndarray, m: int) -> np.ndarray:
     for V, alphas, betas, b in _lanczos(apply_fn, v0, m):
         if b < 1e-14:
             break
-    _, q = eigh_tridiagonal(alphas, betas)
+    _, q = _tridiagonal_eigh(alphas, betas)
     out = q[:, 0] @ V
     return (out / np.linalg.norm(out)).reshape(values.shape)
 
@@ -376,13 +398,9 @@ def dense_hamiltonian(spec: HamiltonianSpec, t: float, grid: Grid,
     if n > cap:
         raise ConfigError(f"dense Hamiltonian capped at {cap} points, got {n}")
     fn = hamiltonian_apply_fn(spec, t, grid)
-    cols = np.empty((n, n), dtype=complex)
-    basis = np.zeros(n, dtype=complex)
-    for j in range(n):
-        basis[j] = 1.0
-        cols[:, j] = fn(basis.reshape(grid.shape)).ravel()
-        basis[j] = 0.0
-    return cols
+    # one batched apply to every basis vector; row j of the result is H e_j
+    basis = np.eye(n, dtype=complex).reshape((n,) + grid.shape)
+    return fn(basis).reshape(n, n).T
 
 
 def dense_oracle_evolve(spec: HamiltonianSpec, psi0: WaveFunction, t0: float,

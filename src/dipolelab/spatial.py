@@ -8,6 +8,7 @@ Boxes are centered: coordinates run over [-L/2, L/2).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +22,7 @@ MEMORY_CAP_POINTS = 1 << 22
 
 SNAPSHOT_MAGIC = b"DPLW"
 SNAPSHOT_VERSION = 1
+SNAPSHOT_MAX_DIM = 64  # bounds the header read before the body size is known
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +190,32 @@ def gaussian_packet(grid: Grid, center, sigma: float, momentum=None) -> WaveFunc
     return normalize(WaveFunction(grid, values))
 
 
+def fourier_pair(grid: Grid):
+    """(forward, inverse) DFTs over an array's trailing grid.dim axes.
+
+    Leading axes are a batch.  One-dimensional grids use np.fft.fft/ifft, which
+    skip the n-d wrapper; other grids use fftn/ifftn with explicit axes.  The
+    transforms are looked up on np.fft at call time, so a patched np.fft
+    attribute sees every call.
+    """
+    if grid.dim == 1:
+        def forward(values: np.ndarray) -> np.ndarray:
+            return np.fft.fft(values)
+
+        def inverse(values: np.ndarray) -> np.ndarray:
+            return np.fft.ifft(values)
+    else:
+        axes = tuple(range(-grid.dim, 0))
+
+        def forward(values: np.ndarray) -> np.ndarray:
+            return np.fft.fftn(values, axes=axes)
+
+        def inverse(values: np.ndarray) -> np.ndarray:
+            return np.fft.ifftn(values, axes=axes)
+
+    return forward, inverse
+
+
 def to_momentum(psi: WaveFunction) -> WaveFunction:
     if psi.space != "position":
         raise ConfigError("to_momentum expects a position-space state")
@@ -255,16 +283,31 @@ def write_snapshot(path, psi: WaveFunction) -> None:
 
 
 def read_snapshot(path, particles: int = 1) -> WaveFunction:
+    """Inverse of write_snapshot; a malformed or oversized file is a ConfigError."""
+
+    def take(fh, size: int) -> bytes:
+        data = fh.read(size)
+        if len(data) != size:
+            raise ConfigError(f"truncated snapshot {path}: wanted {size} bytes, got {len(data)}")
+        return data
+
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise ConfigError(f"bad snapshot magic {magic!r}")
-        version, dim = struct.unpack("<II", fh.read(8))
+        version, dim = struct.unpack("<II", take(fh, 8))
         if version != SNAPSHOT_VERSION:
             raise ConfigError(f"unsupported snapshot version {version}")
-        shape = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        lengths = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        n = int(np.prod(shape))
-        raw = np.frombuffer(fh.read(16 * n), dtype="<f8").reshape(shape + (2,))
+        if not 1 <= dim <= SNAPSHOT_MAX_DIM:
+            raise ConfigError(f"snapshot dimension {dim} outside [1, {SNAPSHOT_MAX_DIM}]")
+        shape = struct.unpack(f"<{dim}I", take(fh, 4 * dim))
+        lengths = struct.unpack(f"<{dim}d", take(fh, 8 * dim))
+        if min(shape) < 1 or not all(np.isfinite(l) and l > 0 for l in lengths):
+            raise ConfigError("snapshot grid has an empty axis or a non-positive length")
+        n = math.prod(shape)
+        if n > MEMORY_CAP_POINTS:
+            raise ConfigError(
+                f"snapshot of {n} points exceeds the memory cap {MEMORY_CAP_POINTS}")
+        raw = np.frombuffer(take(fh, 16 * n), dtype="<f8").reshape(shape + (2,))
     grid = Grid(shape=tuple(shape), lengths=tuple(lengths), particles=particles)
     return WaveFunction(grid, raw[..., 0] + 1j * raw[..., 1])

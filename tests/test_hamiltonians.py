@@ -161,3 +161,34 @@ def test_potential_factory_validation():
         ham.gaussian_well(-1.0, 1.0)
     with pytest.raises(ConfigError):
         ham.HamiltonianSpec("sideways", zero_field(), ham.zero_potential())
+
+
+def test_potential_cache_is_bounded():
+    pot = ham.soft_core_coulomb(1.0, 1.0)
+    for length in range(20, 70):
+        ham.potential_on_grid(pot, spatial.make_grid(1, 64, float(length)))
+    assert len(ham._potential_cache) <= ham.POTENTIAL_CACHE_SIZE == 8
+    g = spatial.make_grid(1, 64, 69.0)
+    first = ham.potential_on_grid(pot, g)
+    assert ham.potential_on_grid(pot, g) is first
+    assert not first.flags.writeable
+
+
+@pytest.mark.parametrize("kind", [ham.FULL, ham.DIPOLE_VELOCITY, ham.DIPOLE_LENGTH])
+@pytest.mark.parametrize("plane", [False, True])
+def test_apply_accepts_a_leading_batch_axis(kind, plane):
+    # the 2D in-plane field drives the gradient term of the full generator
+    if plane:
+        g = spatial.make_grid(2, [8, 8], [16.0, 16.0])
+        fld = fields.ScaledField(fields.in_plane_envelope("cw", 0.5), 8.0, 1.0)
+    else:
+        g = spatial.make_grid(1, 16, 20.0)
+        fld = fields.ScaledField(fields.transverse_envelope("pulse", 0.5, 1),
+                                 fields.snap_lambda(20.0, 2), 1.0)
+    fn = ham.hamiltonian_apply_fn(ham.HamiltonianSpec(kind, fld, ham.soft_core_coulomb()),
+                                  0.3, g)
+    rng = np.random.default_rng(8)
+    batch = rng.standard_normal((4,) + g.shape) + 1j * rng.standard_normal((4,) + g.shape)
+    out = fn(batch)
+    for row, out_row in zip(batch, out):
+        np.testing.assert_array_equal(out_row, fn(row))

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh, expm
 
 from dipolelab import fields, hamiltonians as ham, propagate as prop, spatial
 from dipolelab.bounds import probe_ensemble
@@ -305,3 +306,80 @@ def test_stepper_config_validation():
         prop.StepperConfig(dt=1e-2, t0=0.0, t_final=1.0, krylov_m=4)
     with pytest.raises(ConfigError):
         prop.StepperConfig(dt=1e-2, t0=0.0, t_final=1.0, method="euler")
+
+
+def _random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (a + a.conj().T)
+
+
+def _unit(seed, n):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def test_lanczos_expm_matches_dense_expm():
+    h = _random_hermitian(40, 21)
+    v = 3.0 * _unit(22, 40)
+    out, est = prop._lanczos_expm(lambda x: h @ x, v, 0.05, 40, 1e-14)
+    assert est <= 1e-14
+    np.testing.assert_allclose(out, expm(-0.05j * h) @ v, rtol=0, atol=1e-12)
+
+
+def test_lanczos_expm_stops_at_dimension_one_on_an_eigenvector():
+    h = _random_hermitian(40, 23)
+    _, q = eigh(h)
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return h @ x
+
+    out, _ = prop._lanczos_expm(apply, q[:, 3], 0.05, 24, 1e-10)
+    assert len(calls) == 1
+    ratio = out / q[:, 3]
+    np.testing.assert_allclose(ratio, ratio[0], rtol=0, atol=1e-12)
+    assert abs(abs(ratio[0]) - 1.0) < 1e-12
+
+
+def test_lanczos_expm_returns_none_when_m_is_too_small():
+    h = _random_hermitian(40, 24)
+    out, est = prop._lanczos_expm(lambda x: h @ x, _unit(25, 40), 1.0, 3, 1e-10)
+    assert out is None and est > 1e-10
+
+
+def test_lanczos_lowest_matches_eigh():
+    h = _random_hermitian(20, 26)
+    w, q = eigh(h)
+    v = _unit(27, 20)
+    for _ in range(20):
+        v = prop._lanczos_lowest(lambda x: h @ x, v, 24)
+    assert abs(np.vdot(v, h @ v).real - w[0]) < 1e-10
+    assert abs(abs(np.vdot(q[:, 0], v)) - 1.0) < 1e-10
+
+
+def test_tridiagonal_eigh_size_one_agreement_and_failure():
+    lam, q = prop._tridiagonal_eigh(np.array([2.5]), np.empty(0))
+    assert lam.tolist() == [2.5] and q.tolist() == [[1.0]]
+    alphas, betas = np.array([1.0, -2.0, 0.5, 3.0]), np.array([0.3, 1.1, -0.7])
+    lam, q = prop._tridiagonal_eigh(alphas, betas)
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(t), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(t @ q, q * lam, rtol=0, atol=1e-13)
+    with pytest.raises(NumericalError, match="dstev"):
+        prop._tridiagonal_eigh(np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0]))
+
+
+def test_dense_hamiltonian_columns_are_single_applies():
+    g = spatial.make_grid(1, 16, 20.0)
+    env = fields.transverse_envelope("pulse", 0.5, 1)
+    spec = ham.full_coupling(fields.ScaledField(env, fields.snap_lambda(20.0, 2), 1.0),
+                             ham.soft_core_coulomb(1.0, 1.0))
+    h = prop.dense_hamiltonian(spec, 0.3, g)
+    fn = ham.hamiltonian_apply_fn(spec, 0.3, g)
+    for j in range(g.npoints):
+        e = np.zeros(g.npoints, dtype=complex)
+        e[j] = 1.0
+        np.testing.assert_array_equal(h[:, j], fn(e))

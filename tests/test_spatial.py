@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,4 +181,75 @@ def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "junk.dplw"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ConfigError):
+        spatial.read_snapshot(path)
+
+
+def _snapshot_bytes(tmp_path, n=64):
+    g = spatial.make_grid(1, n, 10.0)
+    rng = np.random.default_rng(3)
+    psi = spatial.WaveFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    path = tmp_path / "state.dplw"
+    spatial.write_snapshot(path, psi)
+    return path, path.read_bytes()
+
+
+def test_snapshot_truncated_body(tmp_path):
+    path, data = _snapshot_bytes(tmp_path)
+    path.write_bytes(data[:-8])
+    with pytest.raises(ConfigError, match="truncated"):
+        spatial.read_snapshot(path)
+
+
+def test_snapshot_truncated_header(tmp_path):
+    path, data = _snapshot_bytes(tmp_path)
+    for cut in (6, 14, 20):  # inside version/dim, inside shape, inside lengths
+        path.write_bytes(data[:cut])
+        with pytest.raises(ConfigError, match="truncated"):
+            spatial.read_snapshot(path)
+
+
+def test_snapshot_header_past_memory_cap(tmp_path):
+    # a two-axis header claiming 2^20 x 2^20 points, with no body behind it
+    path = tmp_path / "huge.dplw"
+    path.write_bytes(b"DPLW" + struct.pack("<II", 1, 2) + struct.pack("<2I", 1 << 20, 1 << 20)
+                     + struct.pack("<2d", 1.0, 1.0))
+    with pytest.raises(ConfigError, match="memory cap"):
+        spatial.read_snapshot(path)
+
+
+@pytest.mark.parametrize("dim", [0, 1 << 31])
+def test_snapshot_bad_dimension(tmp_path, dim):
+    path = tmp_path / "dim.dplw"
+    path.write_bytes(b"DPLW" + struct.pack("<II", 1, dim) + b"\x00" * 32)
+    with pytest.raises(ConfigError, match="dimension"):
+        spatial.read_snapshot(path)
+
+
+def test_fourier_pair_matches_fftn_on_1d_arrays():
+    g = spatial.make_grid(1, 64, 10.0)
+    forward, inverse = spatial.fourier_pair(g)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    np.testing.assert_array_equal(forward(x), np.fft.fftn(x))
+    np.testing.assert_array_equal(inverse(x), np.fft.ifftn(x))
+
+
+@pytest.mark.parametrize("dim,points", [(1, 32), (2, 8)])
+def test_fourier_pair_transforms_a_batch_row_by_row(dim, points):
+    g = spatial.make_grid(dim, points, 10.0)
+    forward, inverse = spatial.fourier_pair(g)
+    rng = np.random.default_rng(5)
+    batch = rng.standard_normal((5,) + g.shape) + 1j * rng.standard_normal((5,) + g.shape)
+    fb, ib = forward(batch), inverse(batch)
+    for row, f_row, i_row in zip(batch, fb, ib):
+        np.testing.assert_array_equal(f_row, np.fft.fftn(row))
+        np.testing.assert_array_equal(i_row, np.fft.ifftn(row))
+
+
+@pytest.mark.parametrize("points,length", [(0, 1.0), (8, -1.0), (8, float("nan"))])
+def test_snapshot_bad_grid(tmp_path, points, length):
+    path = tmp_path / "grid.dplw"
+    path.write_bytes(b"DPLW" + struct.pack("<II", 1, 1) + struct.pack("<I", points)
+                     + struct.pack("<d", length) + b"\x00" * (16 * points))
+    with pytest.raises(ConfigError, match="empty axis"):
         spatial.read_snapshot(path)
