@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError
 
@@ -177,7 +176,7 @@ def gaussian_packet(grid: Grid, center, sigma: float, momentum=None) -> WaveFunc
         for wall in (half - center[axis], half + center[axis]):
             if wall <= 0:
                 raise ConfigError("packet center outside the box")
-            tail += 0.5 * erfc(wall / sigma)
+            tail += 0.5 * math.erfc(wall / sigma)
     if tail > 1e-12:
         raise ConfigError(f"packet tail mass {tail:.2e} at the boundary exceeds 1e-12")
     phase = np.zeros(grid.shape)

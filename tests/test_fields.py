@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
+import dipolelab
 from dipolelab import fields
 from dipolelab.errors import ConfigError
 from dipolelab.spatial import make_grid
@@ -51,6 +58,95 @@ def test_pulse_table_against_erf_closed_form():
     # constant extension beyond the window
     assert fields.profile_value(fields.PULSE, -50.0) == fields.profile_value(
         fields.PULSE, -fields.PULSE_WINDOW)
+
+
+PULSE_NODES = -fields.PULSE_WINDOW + np.arange(8193) / 512.0
+
+
+def test_pulse_table_nodes_and_midpoints_against_closed_form():
+    nodes = fields.profile_value(fields.PULSE, PULSE_NODES)
+    assert np.max(np.abs(nodes - pulse_primitive_erf(PULSE_NODES))) < 1e-14
+    mids = PULSE_NODES[:-1] + 0.5 / 512.0
+    table = fields.profile_value(fields.PULSE, mids)
+    assert np.max(np.abs(table - pulse_primitive_erf(mids))) < 1e-12
+
+
+def test_pulse_table_nan_stays_nan():
+    with np.errstate(invalid="raise"):
+        assert np.isnan(fields.profile_value(fields.PULSE, np.nan))
+        assert np.isnan(fields.profile_value(fields.PULSE, np.array(np.nan)))
+        out = fields.profile_value(fields.PULSE, np.array([np.nan, 0.5, -np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[2])
+    assert out[1] == fields.profile_value(fields.PULSE, 0.5)
+
+
+def test_pulse_table_window_edges():
+    w = fields.PULSE_WINDOW
+    right = fields.profile_value(fields.PULSE, w)
+    left = fields.profile_value(fields.PULSE, -w)
+    assert abs(right) < 1e-15
+    assert left == pytest.approx(-FULL_LINE_INTEGRAL, abs=1e-12)
+    assert fields.profile_value(fields.PULSE, np.inf) == right
+    assert fields.profile_value(fields.PULSE, -np.inf) == left
+    out = fields.profile_value(fields.PULSE, np.array([-np.inf, -w, w, np.inf]))
+    np.testing.assert_array_equal(out, [left, left, right, right])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (7, 1), (1, 7)])
+def test_pulse_table_keeps_shape(shape):
+    u = np.linspace(-9.0, 9.0, int(np.prod(shape))).reshape(shape)
+    out = fields.profile_value(fields.PULSE, u)
+    assert np.shape(out) == shape
+    np.testing.assert_array_equal(
+        np.ravel(out), fields.profile_value(fields.PULSE, u.ravel()))
+
+
+def test_pulse_table_continuous_at_cell_boundaries():
+    inner = PULSE_NODES[1:-1]
+    below = fields.profile_value(fields.PULSE, np.nextafter(inner, -np.inf))
+    above = fields.profile_value(fields.PULSE, np.nextafter(inner, np.inf))
+    at = fields.profile_value(fields.PULSE, inner)
+    assert np.max(np.abs(below - above)) < 1e-15
+    assert np.max(np.abs(below - at)) < 1e-15
+
+
+def test_pulse_table_built_once(monkeypatch):
+    builds = []
+    build = fields._build_pulse_table
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(fields, "_pulse_coeffs", None)
+    monkeypatch.setattr(fields, "_build_pulse_table", counted)
+    env = fields.gaussian_pulse(1.0, [1, 0], [0, 1])
+    first = fields.profile_value(fields.PULSE, 0.3)
+    table = fields._pulse_coeffs
+    fields.profile_value(fields.PULSE, np.linspace(-9, 9, 11))
+    fields.eval_envelope(env, 0.2, 1.0)
+    assert len(builds) == 1
+    assert fields._pulse_coeffs is table
+    assert fields.profile_value(fields.PULSE, 0.3) == first
+
+
+def test_cli_import_graph_leaves_out_heavy_scipy():
+    # A CLI process and its pulse profile need numpy and scipy.linalg only.
+    heavy = ["scipy.interpolate", "scipy.special", "scipy.integrate",
+             "scipy.optimize", "scipy.sparse"]
+    code = (
+        "import json, sys\n"
+        "import dipolelab.cli\n"
+        "from dipolelab import fields\n"
+        "fields.profile_value(fields.PULSE, 0.0)\n"
+        f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n")
+    src = str(Path(dipolelab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == []
 
 
 def test_envelope_dt_cw_at_origin():
@@ -124,26 +220,6 @@ def test_scaled_field_construction():
         fields.ScaledField(cw3(), lam=-1.0, omega=1.0)
 
 
-def test_scaled_A_zero_field():
-    fld = fields.ScaledField(fields.zero_envelope(3), 10.0, 2.0)
-    assert np.all(fields.eval_scaled_A(fld, np.ones(3), 1.0) == 0.0)
-
-
-def test_scaled_A_cw_origin():
-    fld = fields.ScaledField(cw3(), lam=7.0, omega=1.0)
-    np.testing.assert_allclose(
-        fields.eval_scaled_A(fld, np.zeros(3), np.pi / 2), -EY, atol=1e-14)
-
-
-def test_scaled_A_origin_independent_of_lambda():
-    for lam in (10.0, 20.0, 80.0):
-        fld = fields.ScaledField(cw3(), lam=lam, omega=2.0)
-        ref = fields.ScaledField(cw3(), lam=5.0, omega=2.0)
-        np.testing.assert_array_equal(
-            fields.eval_scaled_A(fld, np.zeros(3), 0.77),
-            fields.eval_scaled_A(ref, np.zeros(3), 0.77))
-
-
 def test_scaled_A_taylor_decay():
     # sup over |r| <= R of |a(r/lam, s) - a(0, s)| <= 2 pi E R / lam * 1.1
     env = cw3()
@@ -156,30 +232,6 @@ def test_scaled_A_taylor_decay():
                               - fields.eval_envelope(env, np.zeros(3), s)))
                 for r in rs)
             assert worst <= 2 * np.pi * E * R / lam * 1.1
-
-
-def test_E_field_values():
-    fld = fields.ScaledField(cw3(), lam=11.0, omega=1.0)
-    np.testing.assert_allclose(fields.eval_E_field(fld, np.zeros(3), 0.0), EY,
-                               atol=1e-14)
-    penv = fields.gaussian_pulse(1.0, EX, EY)
-    pfld = fields.ScaledField(penv, lam=11.0, omega=1.0)
-    np.testing.assert_allclose(fields.eval_E_field(pfld, np.zeros(3), 0.0), EY,
-                               atol=1e-12)
-    zfld = fields.ScaledField(fields.zero_envelope(3), 1.0, 1.0)
-    assert np.all(fields.eval_E_field(zfld, np.ones(3), 0.5) == 0.0)
-
-
-def test_E_field_matches_finite_difference_of_coupling():
-    # E = -(1/c) dA/dt = -omega * d/dt [(1/omega) a(r/lam, omega t)] ... so
-    # compare against the FD of eval_scaled_A times -1 (per unit omega t).
-    fld = fields.ScaledField(cw3(), lam=13.0, omega=1.7)
-    h = 1e-6
-    r = np.array([0.3, 0.1, -0.2])
-    fd = (fields.eval_scaled_A(fld, r, 0.4 + h)
-          - fields.eval_scaled_A(fld, r, 0.4 - h)) / (2 * h)
-    np.testing.assert_allclose(fields.eval_E_field(fld, r, 0.4), -fd,
-                               rtol=1e-7, atol=1e-9)
 
 
 def test_transversality_reports():
