@@ -22,10 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .hamiltonians import (HamiltonianSpec, dipole_coupling,
-                           full_coupling_arrays, hamiltonian_apply_fn,
-                           length_gauge_term, potential_on_grid, DIPOLE_LENGTH,
-                           DIPOLE_VELOCITY, FULL)
+from .fields import coupling_arrays
+from .hamiltonians import (DIPOLE_LENGTH, DIPOLE_VELOCITY, HamiltonianSpec,
+                           hamiltonian_apply_fn, length_gauge_term,
+                           potential_on_grid)
 from .spatial import Grid, WaveFunction, spectral_axis_derivative
 
 POWER_RTOL = 1e-3
@@ -44,16 +44,11 @@ class CouplingOperator:
     @classmethod
     def from_spec(cls, spec: HamiltonianSpec, t: float, grid: Grid) -> "CouplingOperator":
         v = potential_on_grid(spec.potential, grid)
-        if spec.kind == DIPOLE_VELOCITY:
-            b_axis, b_sq_total = dipole_coupling(spec.field, t, grid)
-            axes = {a: b_axis[a] for a in range(grid.dim) if b_axis[a] != 0.0}
-            return cls(grid, axes, b_sq_total, v)
-        if spec.kind == FULL:
-            b_list, b_sq = full_coupling_arrays(spec.field, t, grid)
-            return cls(grid, dict(b_list), b_sq, v)
         if spec.kind == DIPOLE_LENGTH:
             return cls(grid, {}, 0.0, v + length_gauge_term(spec.field, t, grid))
-        raise ConfigError(f"unknown Hamiltonian kind {spec.kind!r}")
+        b_axes, b_sq = coupling_arrays(spec.field, t, grid,
+                                       dipole=spec.kind == DIPOLE_VELOCITY)
+        return cls(grid, dict(b_axes), b_sq, v)
 
     @classmethod
     def explicit(cls, grid: Grid, b_axes: dict | None = None, b_sq=0.0,

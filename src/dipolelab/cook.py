@@ -5,11 +5,12 @@ evolution applied to the generator difference applied to the other bounds the
 terminal error by
 
     B = int_{t0}^{t} g(s) ds,
-    g(s) = (2/w) ||(a(r/lam, w s) - a(0, w s)) . grad psi_s||
-         + (1/w^2) ||(a(r/lam, w s)^2 - a(0, w s)^2) psi_s||,
+    g(s) = 2 ||(b(r, s) - b(0, s)) . grad psi_s|| + ||(|b(r, s)|^2 - |b(0, s)|^2) psi_s||,
 
-where psi_s is the dipole-evolved state.  Only the dipole trajectory is
-needed to produce B, which is what makes the certificate usable a-posteriori.
+where b(r, s) = (1/w) a(r/lam, w s) is the coupling that
+``fields.coupling_arrays`` samples and psi_s is the dipole-evolved state.
+Only the dipole trajectory is needed to produce B, which is what makes the
+certificate usable a-posteriori.
 B is composite Simpson over the fine nodes; the same samples at every other
 node give a coarse B, and a fine/coarse gap above QUAD_SELF_TOL (relative)
 flags the quadrature.  The measured error e that B is compared against comes
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScaledField, grid_components, grid_profiles, profile_value
+from .fields import ScaledField, coupling_arrays
+from .fields import profile_value  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .hamiltonians import HamiltonianSpec
 from .propagate import SPLIT, StepperConfig, evolve
 from .spatial import WaveFunction, spectral_gradient
@@ -66,37 +68,21 @@ class CookReport:
         return out
 
 
-def envelope_difference_arrays(fld: ScaledField, s: float, grid):
-    """On-grid components of a(r/lam, w s) - a(0, w s) and the |a|^2 difference."""
-    env = fld.envelope
-    d = grid.per_particle_dim
-    eps = grid_components(env.eps_hat, grid)
-    f0 = float(profile_value(env.kind, -fld.omega * s))
-    diff_axes = []
-    sq_diff = np.zeros((1,) * grid.dim)
-    for p, f in enumerate(grid_profiles(env, grid, fld.lam, fld.omega * s)):
-        ap = env.amplitude * f
-        a0 = env.amplitude * f0
-        sq_diff = sq_diff + (ap * ap - a0 * a0)
-        for i in np.flatnonzero(eps):
-            diff_axes.append((p * d + i, (ap - a0) * eps[i]))
-    return diff_axes, sq_diff
-
-
 def cook_integrand(fld: ScaledField, s: float, psi: WaveFunction) -> float:
     """g(s) >= 0 for one dipole-trajectory sample."""
     grid = psi.grid
-    diff_axes, sq_diff = envelope_difference_arrays(fld, s, grid)
-    w = fld.omega
+    b_axes, b_sq = coupling_arrays(fld, s, grid)
+    b0_axes, b0_sq = coupling_arrays(fld, s, grid, dipole=True)
+    scale = np.sqrt(grid.cell_volume)
     total = 0.0
-    if diff_axes:
+    if b_axes:
         grads = spectral_gradient(psi)
         acc = np.zeros(grid.shape, dtype=complex)
-        for axis, diff in diff_axes:
-            acc = acc + diff * grads[axis].values
-        total += (2.0 / w) * float(np.linalg.norm(acc.ravel())) * np.sqrt(grid.cell_volume)
-    sq_term = sq_diff * psi.values
-    total += (1.0 / w ** 2) * float(np.linalg.norm(sq_term.ravel())) * np.sqrt(grid.cell_volume)
+        for (axis, b), (_, b0) in zip(b_axes, b0_axes):
+            acc = acc + (b - b0) * grads[axis].values
+        total += 2.0 * float(np.linalg.norm(acc.ravel())) * scale
+    sq_term = (b_sq - b0_sq) * psi.values
+    total += float(np.linalg.norm(sq_term.ravel())) * scale
     return total
 
 

@@ -261,9 +261,6 @@ class ScaledField:
         """Speed of light implied by (lam, omega); reporting metadata only."""
         return self.omega * self.lam / (2.0 * np.pi)
 
-    def with_lambda(self, lam: float) -> "ScaledField":
-        return ScaledField(self.envelope, float(lam), self.omega)
-
 
 @dataclass(frozen=True)
 class TransversalityReport:
@@ -325,15 +322,12 @@ def check_divergence_free(env: LaserEnvelope, grid, times=(0.0, 0.9),
     from .spatial import spectral_axis_derivative  # local import avoids a cycle
 
     commensurate = is_commensurate(env, grid, lam)
-    d = grid.per_particle_dim
-    eps = grid_components(env.eps_hat, grid)
+    fld = ScaledField(env, lam, 1.0)  # at omega = 1, b is a itself
     max_defect = 0.0
     for t in times:
         div = np.zeros(grid.shape)
-        for p, f in enumerate(grid_profiles(env, grid, lam, t)):
-            for i in np.flatnonzero(eps):
-                comp = env.amplitude * eps[i] * f
-                div = div + spectral_axis_derivative(comp, grid, p * d + i).real
+        for axis, b in coupling_arrays(fld, t, grid)[0]:
+            div = div + spectral_axis_derivative(b, grid, axis).real
         max_defect = max(max_defect, float(np.max(np.abs(div))))
     warning = "" if commensurate else "grid not commensurate with envelope period"
     return DivergenceReport(max_defect=max_defect, commensurate=commensurate,
@@ -353,22 +347,34 @@ def grid_components(vec: np.ndarray, grid) -> np.ndarray:
     return out
 
 
-def grid_ray_coordinate(env: LaserEnvelope, grid, particle: int, lam: float,
-                        t: float) -> np.ndarray:
-    """Broadcastable u-array for one particle's coordinates on the grid.
+def coupling_arrays(field: ScaledField, t: float, grid, dipole: bool = False):
+    """Sampled coupling b(r, t) = (1/omega) a(r/lam, omega t) on the grid.
 
-    u(x) = 2*pi*k_hat.(x_particle/lam) - t with the particle's position
-    embedded into field space.
+    Returns (b_axes, b_sq): one (axis, b) pair per grid axis with a nonzero
+    polarization component, repeating over particles, and |b|^2 summed over
+    particles, off-grid polarization components included.  Each particle's
+    position embeds as the leading field coordinates.  With dipole=True the
+    coupling is b(0, t) and every value is a float; otherwise the values are
+    arrays that broadcast against the grid.
     """
+    env = field.envelope
     d = grid.per_particle_dim
-    k = grid_components(env.k_hat, grid)
-    u = np.zeros((1,) * grid.dim)
-    for i in np.flatnonzero(k):
-        u = u + (2.0 * np.pi * k[i] / lam) * grid.mesh(particle * d + i)
-    return u - t
-
-
-def grid_profiles(env: LaserEnvelope, grid, lam: float, t: float) -> list:
-    """Each particle's broadcastable profile array f(u) of a(./lam, t) on the grid."""
-    return [profile_value(env.kind, grid_ray_coordinate(env, grid, p, lam, t))
-            for p in range(grid.particles)]
+    eps = grid_components(env.eps_hat, grid)
+    amp = env.amplitude / field.omega
+    s = field.omega * t
+    if dipole:
+        profiles = [amp * float(profile_value(env.kind, -s))] * grid.particles
+    else:
+        k = grid_components(env.k_hat, grid)
+        profiles = []
+        for p in range(grid.particles):
+            u = np.zeros((1,) * grid.dim)
+            for i in np.flatnonzero(k):
+                u = u + (2.0 * np.pi * k[i] / field.lam) * grid.mesh(p * d + i)
+            profiles.append(amp * profile_value(env.kind, u - s))
+    b_axes = []
+    b_sq = 0.0 if dipole else np.zeros((1,) * grid.dim)
+    for p, b in enumerate(profiles):
+        b_sq = b_sq + b * b
+        b_axes.extend((p * d + i, b * eps[i]) for i in np.flatnonzero(eps))
+    return b_axes, b_sq

@@ -1,6 +1,6 @@
 """Unitary map between the velocity- and length-gauge dipole evolutions.
 
-The map multiplies by exp(-i b(t).r) with b(t) = (1/omega) a(0, omega t),
+The map multiplies by exp(-i b(0,t).r) with b(0,t) = (1/omega) a(0, omega t),
 using the on-grid components of b.  It conjugates (-i grad - b)^2 to the bare
 Laplacian, so the length-gauge generator carries the -E(0,t).r term instead;
 any off-grid |b|^2 remainder is spatially constant and therefore a pure global
@@ -12,17 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScaledField
-from .hamiltonians import dipole_coupling
+from .fields import ScaledField, coupling_arrays
 from .spatial import WaveFunction, inner_product, norm
 
 
 def _phase_field(field: ScaledField, t: float, grid) -> np.ndarray:
-    b_axis, _ = dipole_coupling(field, t, grid)
     phase = np.zeros((1,) * grid.dim)
-    for axis in range(grid.dim):
-        if b_axis[axis] != 0.0:
-            phase = phase + b_axis[axis] * grid.mesh(axis)
+    for axis, b in coupling_arrays(field, t, grid, dipole=True)[0]:
+        phase = phase + b * grid.mesh(axis)
     return phase
 
 

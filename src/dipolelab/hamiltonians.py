@@ -6,13 +6,16 @@ coefficient and a hydrogen-like attraction reads -2Z/r (softened on grids).
 Three generator kinds:
 
   full            (-i grad - b(r,t))^2 + V,  b(r,t) = (1/omega) a(r/lam, omega t)
-  dipole_velocity (-i grad - b(t))^2 + V,    b(t)   = (1/omega) a(0, omega t)
+  dipole_velocity (-i grad - b(0,t))^2 + V
   dipole_length   -Laplacian + V + da/dt(0, omega t).r
 
-expanded in Coulomb gauge as -Lap + 2i b.grad + |b|^2 + V.  Vector components
-of b beyond the grid dimension (transverse geometries) cannot act through the
-gradient; they contribute through |b|^2 only, which is exactly the reduction
-of the transverse-momentum zero sector.
+expanded in Coulomb gauge as -Lap + 2i b.grad + |b|^2 + V, with b sampled by
+``fields.coupling_arrays``.  The dipole coupling is constant in space, so its
+gradient term folds into the kinetic symbol as -2 b.k; the full coupling adds
+one gradient transform per coupled axis.  Vector components of b beyond the
+grid dimension (transverse geometries) cannot act through the gradient; they
+contribute through |b|^2 only, which is exactly the reduction of the
+transverse-momentum zero sector.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (ScaledField, grid_components, grid_profiles, is_commensurate,
-                     profile_derivative, profile_value)
+from .fields import (ScaledField, coupling_arrays, grid_components, is_commensurate,
+                     profile_derivative)
+from .fields import profile_value  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .spatial import Grid, WaveFunction, fourier_pair, inner_product
 
 FULL = "full"
@@ -167,20 +171,6 @@ def dipole_length(field: ScaledField, potential: PotentialModel) -> HamiltonianS
     return HamiltonianSpec(DIPOLE_LENGTH, field, potential)
 
 
-def dipole_coupling(field: ScaledField, t: float, grid: Grid):
-    """Spatially constant coupling b(t) = (1/omega) a(0, omega t).
-
-    Returns (b_axis, b_sq_total): the on-grid component per grid axis
-    (repeating over particles) and the summed full |b|^2 over particles.
-    """
-    env = field.envelope
-    f0 = float(profile_value(env.kind, -field.omega * t))
-    scale = env.amplitude * f0 / field.omega
-    b_axis = np.tile(scale * grid_components(env.eps_hat, grid), grid.particles)
-    b_sq_total = grid.particles * scale * scale
-    return b_axis, b_sq_total
-
-
 def length_gauge_term(field: ScaledField, t: float, grid: Grid) -> np.ndarray:
     """(d/dt a)(0, omega t) . r  ==  -E(0,t) . r, on-grid components."""
     env = field.envelope
@@ -195,77 +185,38 @@ def length_gauge_term(field: ScaledField, t: float, grid: Grid) -> np.ndarray:
     return np.broadcast_to(term, grid.shape) if term.shape != grid.shape else term
 
 
-def full_coupling_arrays(field: ScaledField, t: float, grid: Grid):
-    """Sampled b(r,t) for the full generator.
-
-    Returns (b_axes, b_sq): a list of (axis, broadcastable array) for grid
-    axes with a nonzero polarization component, and the full |b|^2 summed over
-    particles (always including off-grid polarization components).
-    """
-    env = field.envelope
-    d = grid.per_particle_dim
-    eps = grid_components(env.eps_hat, grid)
-    amp = env.amplitude / field.omega
-    b_axes = []
-    b_sq = np.zeros((1,) * grid.dim)
-    for p, f in enumerate(grid_profiles(env, grid, field.lam, field.omega * t)):
-        bp = amp * f
-        b_sq = b_sq + bp * bp
-        for i in np.flatnonzero(eps):
-            b_axes.append((p * d + i, bp * eps[i]))
-    return b_axes, b_sq
-
-
 def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
                          grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     """Closure applying H(t) to raw value arrays; field data frozen at t."""
     v = potential_on_grid(spec.potential, grid)
-    k_sq = grid.k_square
     forward, inverse = fourier_pair(grid)
-
+    sym = grid.k_square
+    grads = []  # (2i b, i k) per coupled axis: the term 2i b d/dx
     if spec.kind == DIPOLE_LENGTH:
         v_eff = v + length_gauge_term(spec.field, t, grid)
+    else:
+        dipole = spec.kind == DIPOLE_VELOCITY
+        if not dipole and not is_commensurate(spec.field.envelope, grid,
+                                              spec.field.lam):
+            raise ConfigError(
+                "full-coupling generator requires a commensurate field on the grid")
+        b_axes, b_sq = coupling_arrays(spec.field, t, grid, dipole=dipole)
+        v_eff = v + b_sq
+        for axis, b in b_axes:
+            if dipole:
+                sym = sym - 2.0 * b * grid.k_mesh(axis)
+            else:
+                grads.append((2j * b, 1j * grid.k_mesh(axis)))
 
-        def apply_length(values: np.ndarray) -> np.ndarray:
-            out = inverse(k_sq * forward(values))
-            out += v_eff * values
-            return out
-
-        return apply_length
-
-    if spec.kind == DIPOLE_VELOCITY:
-        b_axis, b_sq_total = dipole_coupling(spec.field, t, grid)
-        v_eff = v + b_sq_total
-        sym = k_sq.copy()
-        for axis in range(grid.dim):
-            if b_axis[axis] != 0.0:
-                sym = sym - 2.0 * b_axis[axis] * grid.k_mesh(axis)
-
-        def apply_velocity(values: np.ndarray) -> np.ndarray:
-            out = inverse(sym * forward(values))
-            out += v_eff * values
-            return out
-
-        return apply_velocity
-
-    # full coupling
-    if not is_commensurate(spec.field.envelope, grid, spec.field.lam):
-        raise ConfigError(
-            "full-coupling generator requires a commensurate field on the grid")
-    b_axes, b_sq = full_coupling_arrays(spec.field, t, grid)
-    v_eff = v + b_sq
-    # (2i b, i k) per coupled axis: the term 2i b d/dx, d/dx by the multiplier i k
-    grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in b_axes]
-
-    def apply_full(values: np.ndarray) -> np.ndarray:
+    def apply(values: np.ndarray) -> np.ndarray:
         vhat = forward(values)
-        out = inverse(k_sq * vhat)
+        out = inverse(sym * vhat)
         out += v_eff * values
         for two_ib, ik in grads:
             out += two_ib * inverse(vhat * ik)
         return out
 
-    return apply_full
+    return apply
 
 
 def apply_hamiltonian(spec: HamiltonianSpec, t: float, psi: WaveFunction) -> WaveFunction:

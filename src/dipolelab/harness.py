@@ -19,9 +19,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from . import __version__
 from .bounds import run_bounds_suite
 from .cook import (CookReport, _bound_from_samples, dipole_node_trajectory,
                    simpson_weights)
-from .errors import ConfigError, DipoleLabError
+from .errors import ConfigError, NumericalError
 from .fields import (CW, PULSE, PULSE_WINDOW, LaserEnvelope, ScaledField,
                      check_divergence_free, check_transversality,
                      in_plane_envelope, is_commensurate, transverse_envelope)
@@ -89,6 +90,21 @@ class StudyConfig:
             raise ConfigError("lambda list must be strictly increasing")
         if self.threads < 1:
             raise ConfigError("thread count must be >= 1")
+        # every check fails on NaN, which compares false
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError("dt must be finite and positive")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ConfigError("omega must be finite and positive")
+        if self.panels < 1:
+            raise ConfigError("panels must be >= 1")
+        if not 8 <= self.krylov_m <= 64:
+            raise ConfigError("krylov_m must lie in [8, 64]")
+        if not (self.krylov_tol > 0 and self.ground_tol > 0):
+            raise ConfigError("krylov_tol and ground_tol must be positive")
+        for name in ("t0", "t_final"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
 
     # -- derived pieces ---------------------------------------------------
 
@@ -350,7 +366,7 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
                 fld, nodes, dipole_states, config.panels)
             return LambdaRecord(lam, err, b_fine, b_coarse, flag, g_values,
                                 time.perf_counter() - tick)
-        except DipoleLabError as exc:
+        except NumericalError as exc:
             return LambdaRecord(lam, None, None, None, False, None,
                                 time.perf_counter() - tick, diagnostic=str(exc))
 
@@ -467,16 +483,6 @@ def _write_cook_csv(path, result: SweepResult, config_hash: str) -> None:
             for s, g in zip(result.nodes, rec.g_values):
                 writer.writerow([repr(float(rec.lam)), repr(float(s)),
                                  repr(float(g)), config_hash])
-
-
-def run_preset(name: str, outdir, seed: int | None = None,
-               threads: int = 1) -> Path:
-    """Run a named preset end to end; returns the artifact directory."""
-    config = preset_config(name)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    config = replace(config, threads=threads)
-    return run_study(config, outdir)
 
 
 def run_study(config: StudyConfig, outdir, sweep: SweepResult | None = None) -> Path:

@@ -18,8 +18,8 @@ from scipy.linalg.blas import dznrm2, zgemv
 from scipy.linalg.lapack import dstev
 
 from .errors import ConfigError, NumericalError
-from .hamiltonians import (DIPOLE_VELOCITY, FULL,
-                           HamiltonianSpec, ZERO_POTENTIAL, dipole_coupling,
+from .fields import coupling_arrays
+from .hamiltonians import (DIPOLE_VELOCITY, FULL, HamiltonianSpec, ZERO_POTENTIAL,
                            hamiltonian_apply_fn, hermiticity_defect,
                            length_gauge_term, potential_on_grid)
 from .spatial import Grid, WaveFunction, fourier_pair, normalize, norm
@@ -46,7 +46,6 @@ class StepperConfig:
     krylov_tol: float = 1e-10
     store_states: bool = False
     sample_times: tuple[float, ...] | None = None
-    norm_drift_bound: float | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -60,8 +59,6 @@ class StepperConfig:
 
     @property
     def drift_bound(self) -> float:
-        if self.norm_drift_bound is not None:
-            return self.norm_drift_bound
         return SPLIT_DRIFT_BOUND if self.method == SPLIT else max(self.krylov_tol, 1e-12)
 
 
@@ -98,12 +95,10 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
 
         def step(values: np.ndarray, t_mid: float) -> np.ndarray:
             # symbol of (-i grad - b)^2 at constant b: (k - b)^2 + |b_offgrid|^2
-            b_axis, b_sq_total = dipole_coupling(spec.field, t_mid, grid)
-            sym = k_sq + b_sq_total
-            for axis in range(grid.dim):
-                b = b_axis[axis]
-                if b != 0.0:
-                    sym = sym - 2.0 * b * grid.k_mesh(axis)
+            b_axes, b_sq = coupling_arrays(spec.field, t_mid, grid, dipole=True)
+            sym = k_sq + b_sq
+            for axis, b in b_axes:
+                sym = sym - 2.0 * b * grid.k_mesh(axis)
             kin = np.exp(-1j * dt * sym)
             out = inverse(kin * forward(half_v * values))
             out *= half_v

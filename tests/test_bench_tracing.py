@@ -1,0 +1,47 @@
+"""The benchmark tracer patches names by module attribute; each must stay bound.
+
+``bench/tracing.py`` wraps functions where the program looks them up, so a
+name that a refactor deletes or stops importing breaks the traced benchmark
+run.  This guard installs the tracer, checks that every patched attribute
+existed before it was replaced, and checks that restoring puts every original
+back.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing as module
+    yield module
+    sys.modules.pop("tracing", None)
+
+
+def test_tracer_patches_only_bound_names_and_restores_them(tracing):
+    missing = []
+
+    class CheckingTracer(tracing.Tracer):
+        def patch(self, module, attr, replacement):
+            if not hasattr(module, attr):
+                missing.append(f"{module.__name__}.{attr}")
+            super().patch(module, attr, replacement)
+
+    tracer = CheckingTracer()
+    try:
+        tracing.install(tracer)
+        patched = list(tracer._patched)
+    finally:
+        restored = tracer.restore()
+    assert not missing
+    assert patched and len(restored) == len(patched)
+    names = {(module.__name__, attr) for module, attr, _ in patched}
+    for module in ("dipolelab.fields", "dipolelab.hamiltonians", "dipolelab.cook"):
+        assert (module, "profile_value") in names
+    for module, attr, original in restored:
+        assert getattr(module, attr) is original

@@ -51,26 +51,50 @@ def _integrand_pointwise_oracle(fld, s, psi):
     return t1 + t2
 
 
+# omega != 1 catches a lost 1/omega between the a and b units
+OMEGAS = (1.0, 1.7)
+
+
+def random_state(g, seed):
+    rng = np.random.default_rng(seed)
+    return spatial.normalize(spatial.WaveFunction(
+        g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)))
+
+
 def test_integrand_matches_pointwise_assembly_1d():
-    g, env, fld, pot = transverse_setup()
+    g, env, _, pot = transverse_setup()
     _, psi = prop.ground_state_imaginary_time(pot, g, tol=1e-7)
     s = 0.9
-    direct = cook.cook_integrand(fld, s, psi)
-    oracle = _integrand_pointwise_oracle(fld, s, psi)
-    assert direct == pytest.approx(oracle, abs=1e-12)
+    for omega in OMEGAS:
+        fld = fields.ScaledField(env, 40.0, omega)
+        direct = cook.cook_integrand(fld, s, psi)
+        oracle = _integrand_pointwise_oracle(fld, s, psi)
+        assert direct == pytest.approx(oracle, abs=1e-12)
 
 
 def test_integrand_matches_pointwise_assembly_2d_in_plane():
     g = spatial.make_grid(2, [16, 16], [16.0, 16.0])
     env = fields.in_plane_envelope("cw", 0.5)
-    fld = fields.ScaledField(env, 8.0, 1.0)
-    rng = np.random.default_rng(12)
-    psi = spatial.normalize(spatial.WaveFunction(
-        g, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))))
+    psi = random_state(g, 12)
     s = 1.3
-    direct = cook.cook_integrand(fld, s, psi)
-    oracle = _integrand_pointwise_oracle(fld, s, psi)
-    assert direct == pytest.approx(oracle, abs=1e-12)
+    for omega in OMEGAS:
+        fld = fields.ScaledField(env, 8.0, omega)
+        direct = cook.cook_integrand(fld, s, psi)
+        oracle = _integrand_pointwise_oracle(fld, s, psi)
+        assert direct == pytest.approx(oracle, abs=1e-12)
+
+
+def test_integrand_matches_pointwise_assembly_two_particle():
+    g = spatial.make_grid(2, [16, 16], [16.0, 16.0], particles=2)
+    env = fields.transverse_envelope("cw", 0.4, 1)
+    psi = random_state(g, 13)
+    s = 1.3
+    for omega in OMEGAS:
+        fld = fields.ScaledField(env, 8.0, omega)
+        direct = cook.cook_integrand(fld, s, psi)
+        oracle = _integrand_pointwise_oracle(fld, s, psi)
+        assert direct > 1e-3
+        assert direct == pytest.approx(oracle, abs=1e-12)
 
 
 def test_integrand_taylor_bound_large_lambda():

@@ -263,6 +263,57 @@ def test_divergence_zero_envelope():
     assert rep.max_defect == 0.0
 
 
+SAMPLER_OMEGA = 1.7
+
+
+def sampler_case(name):
+    """(grid, envelope, lam) for the coupling-sampler tests."""
+    if name == "pulse-1d-transverse":
+        return make_grid(1, 64, 40.0), fields.transverse_envelope("pulse", 0.3, 1), 20.0
+    if name == "cw-2d-in-plane":
+        return make_grid(2, [16, 16], [16.0, 16.0]), fields.in_plane_envelope("cw", 0.5), 8.0
+    return (make_grid(2, [16, 16], [16.0, 16.0], particles=2),
+            fields.transverse_envelope("cw", 0.4, 1), 8.0)
+
+
+@pytest.mark.parametrize("dipole", [False, True], ids=["full", "dipole"])
+@pytest.mark.parametrize("case", ["pulse-1d-transverse", "cw-2d-in-plane",
+                                  "two-particle-1d"])
+def test_coupling_arrays_match_envelope_pointwise(case, dipole):
+    grid, env, lam = sampler_case(case)
+    w, t = SAMPLER_OMEGA, 0.9
+    fld = fields.ScaledField(env, lam, w)
+    b_axes, b_sq = fields.coupling_arrays(fld, t, grid, dipole=dipole)
+
+    d = grid.per_particle_dim
+    coords = [grid.axis_coordinates(a) for a in range(grid.dim)]
+    ref_sq = np.zeros(grid.shape)
+    ref_axes = {p * d + i: np.zeros(grid.shape)
+                for p in range(grid.particles)
+                for i in range(min(d, env.field_dim)) if env.eps_hat[i] != 0.0}
+    for idx in np.ndindex(*grid.shape):
+        for p in range(grid.particles):
+            x = np.array([coords[p * d + i][idx[p * d + i]] for i in range(d)])
+            if dipole:
+                x = np.zeros(d)
+            b = fields.eval_envelope(env, x / lam, w * t) / w
+            ref_sq[idx] += b @ b
+            for i in range(d):
+                if p * d + i in ref_axes:
+                    ref_axes[p * d + i][idx] = b[i]
+
+    assert [axis for axis, _ in b_axes] == sorted(ref_axes)
+    if dipole:
+        assert np.ndim(b_sq) == 0
+        assert all(np.ndim(b) == 0 for _, b in b_axes)
+    assert np.max(ref_sq) > 1e-3  # the sample time is not a node of the field
+    np.testing.assert_allclose(np.broadcast_to(b_sq, grid.shape), ref_sq,
+                               rtol=1e-12, atol=1e-15)
+    for axis, b in b_axes:
+        np.testing.assert_allclose(np.broadcast_to(b, grid.shape), ref_axes[axis],
+                                   rtol=1e-12, atol=1e-15)
+
+
 def test_divergence_diagonal_cw_commensurate():
     # k and eps both in-plane at 45 degrees: the two derivative terms cancel
     # spectrally only because the grid is commensurate.

@@ -1,3 +1,4 @@
+import configparser
 import json
 from dataclasses import replace
 
@@ -54,6 +55,19 @@ def test_config_validation():
         cfg2.validate()                               # start time must be > 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0.0), ("dt", -1e-3), ("dt", float("nan")), ("dt", float("inf")),
+    ("omega", 0.0), ("omega", float("nan")), ("omega", float("inf")),
+    ("panels", 0), ("krylov_m", 7), ("krylov_m", 65),
+    ("krylov_tol", 0.0), ("krylov_tol", float("nan")),
+    ("ground_tol", -1e-8), ("ground_tol", float("nan")),
+    ("t0", float("nan")), ("t_final", float("inf")),
+])
+def test_config_domain_checks(field, value):
+    with pytest.raises(ConfigError):
+        trimmed_config(**{field: value})
+
+
 def test_preset_configs_are_valid():
     for name in harness.PRESETS:
         harness.preset_config(name).validate()
@@ -78,6 +92,24 @@ def test_sweep_records_and_slope():
     assert not res.partial
     for rec in res.records:
         assert rec.error <= 1.05 * rec.bound + 1e-6
+
+
+def test_sweep_records_only_numerical_failures(monkeypatch):
+    # the full-coupling run fails; only a NumericalError becomes a FAILED row
+    cfg = trimmed_config(initial_state="packet")
+
+    def fail_with(exc_type):
+        def fail(*args, **kwargs):
+            raise exc_type("synthetic failure")
+        return fail
+
+    monkeypatch.setattr(harness, "evolve", fail_with(NumericalError))
+    res = harness.run_convergence_sweep(cfg)
+    assert res.partial
+    assert all(r.error is None and r.diagnostic for r in res.records)
+    monkeypatch.setattr(harness, "evolve", fail_with(ConfigError))
+    with pytest.raises(ConfigError):
+        harness.run_convergence_sweep(cfg)
 
 
 def test_cook_comparison_reports():
@@ -179,6 +211,30 @@ def test_cli_malformed_ini(tmp_path, capsys, text):
     assert cli.main(["sweep", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "bounds", "field-check", "gauge-check"])
+@pytest.mark.parametrize("section, key, value", [
+    ("field", "omega", "0"), ("run", "dt", "nan"), ("run", "panels", "0"),
+    ("run", "krylov_m", "100"),
+], ids=["omega-zero", "dt-nan", "panels-zero", "krylov-m-100"])
+def test_cli_config_hole_fails_before_compute(tmp_path, capsys, monkeypatch,
+                                              command, section, key, value):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the ground state was solved for an invalid config")
+
+    monkeypatch.setattr(harness, "ground_state_imaginary_time", no_compute)
+    ini = tmp_path / "study.ini"
+    harness.preset_config("cw-1d").write_ini(ini)
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    cp[section][key] = value
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
 
 
 def test_cli_unknown_subcommand():
