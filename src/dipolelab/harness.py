@@ -86,14 +86,16 @@ class StudyConfig:
         self.grid_points = tuple(int(p) for p in np.atleast_1d(self.grid_points))
         self.grid_lengths = tuple(float(l) for l in np.atleast_1d(self.grid_lengths))
         self.lambdas = tuple(float(l) for l in np.atleast_1d(self.lambdas))
+        # every domain check below fails on NaN, which compares false
+        if not all(0 < lam < math.inf for lam in self.lambdas):
+            raise ConfigError("every lambda must be finite and positive")
         if list(self.lambdas) != sorted(set(self.lambdas)):
             raise ConfigError("lambda list must be strictly increasing")
         if self.threads < 1:
             raise ConfigError("thread count must be >= 1")
-        # every check fails on NaN, which compares false
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not 0 < self.dt < math.inf:
             raise ConfigError("dt must be finite and positive")
-        if not (math.isfinite(self.omega) and self.omega > 0):
+        if not 0 < self.omega < math.inf:
             raise ConfigError("omega must be finite and positive")
         if self.panels < 1:
             raise ConfigError("panels must be >= 1")
@@ -101,6 +103,8 @@ class StudyConfig:
             raise ConfigError("krylov_m must lie in [8, 64]")
         if not (self.krylov_tol > 0 and self.ground_tol > 0):
             raise ConfigError("krylov_tol and ground_tol must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         for name in ("t0", "t_final"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

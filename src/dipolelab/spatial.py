@@ -100,8 +100,8 @@ def make_grid(dim: int, points, lengths, particles: int = 1,
         if p < 8 or (p & (p - 1)) != 0:
             raise ConfigError(f"points per axis must be a power of two >= 8, got {p}")
     for l in lengths:
-        if not l > 0:
-            raise ConfigError("box lengths must be positive")
+        if not 0 < l < math.inf:
+            raise ConfigError("box lengths must be finite and positive")
     if particles < 1 or dim % particles != 0:
         raise ConfigError("particle count must divide the grid dimension")
     total = int(np.prod(points))

@@ -62,6 +62,8 @@ def test_config_validation():
     ("krylov_tol", 0.0), ("krylov_tol", float("nan")),
     ("ground_tol", -1e-8), ("ground_tol", float("nan")),
     ("t0", float("nan")), ("t_final", float("inf")),
+    ("lambdas", (float("nan"),)), ("lambdas", (0.0, 20.0)),
+    ("lambdas", (20.0, float("inf"))), ("seed", -1),
 ])
 def test_config_domain_checks(field, value):
     with pytest.raises(ConfigError):
