@@ -3,8 +3,14 @@
 Three measurements on matrix-free operators, all over reproducible seeded
 probe ensembles:
 
-  * contraction_scan: q(alpha) = ||W (-Lap + alpha)^-1|| by power iteration on
-    the normal operator; invertibility of 1 + W R_alpha needs q < 1.
+  * contraction_scan: q(alpha) = ||W R_alpha||, R_alpha = (-Lap + alpha)^-1;
+    invertibility of 1 + W R_alpha needs q < 1.  q(alpha)^2 is the top
+    eigenvalue of the Hermitian PSD normal operator R W^dag W R, found by the
+    Lanczos recurrence the Krylov stepper uses (propagate._lanczos), restarted
+    from the top Ritz vector every 24 vectors.  It stops once the top Ritz
+    pair's residual is at most 1e-8 times its Ritz value.  Shifts run in
+    increasing order, each warm-started from the previous top eigenvector
+    plus the seeded random start.
   * infinitesimal_bound_scan: smallest C with ||W psi||^2 <= eps ||Lap psi||^2
     + C ||psi||^2 over the probes (a lower bound on the true constant).
   * graph_norm_constants: the ratio between the discrete second Sobolev norm
@@ -26,10 +32,15 @@ from .fields import coupling_arrays
 from .hamiltonians import (DIPOLE_LENGTH, DIPOLE_VELOCITY, HamiltonianSpec,
                            hamiltonian_apply_fn, length_gauge_term,
                            potential_on_grid)
+from .propagate import _lanczos, _tridiagonal_eigh
 from .spatial import Grid, WaveFunction, spectral_axis_derivative
 
-POWER_RTOL = 1e-3
-POWER_MAX_ITER = 20000
+# Lanczos for q(alpha): at most LANCZOS_M basis vectors per cycle.  A flat
+# spectral top (constant drift and no potential, diagonal in k) can take
+# hundreds of restarts; the cap allows about 19,000 applies per shift.
+LANCZOS_M = 24
+RITZ_RTOL = 1e-8
+LANCZOS_MAX_RESTARTS = 800
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,55 +92,62 @@ def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     return np.fft.ifftn(np.fft.fftn(values) / (grid.k_square + alpha))
 
 
-def operator_norm_estimate(w_op: CouplingOperator, alpha: float, seed: int = 2024,
-                           rtol: float = POWER_RTOL,
-                           max_iter: int = POWER_MAX_ITER) -> float:
-    """||W R_alpha|| via power iteration on R W^dag W R (Hermitian, PSD)."""
-    grid = w_op.grid
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    v /= np.linalg.norm(v.ravel())
+def _top_eigenpair(apply_fn, v0: np.ndarray, alpha: float):
+    """Largest eigenvalue and unit eigenvector of a Hermitian PSD operator.
 
-    def normal_apply(x: np.ndarray) -> np.ndarray:
-        y = resolvent_apply(x, grid, alpha)
-        y = w_op.apply(y)
-        y = w_op.adjoint_apply(y)
-        return resolvent_apply(y, grid, alpha)
-
-    # The Rayleigh quotient climbs monotonically; near-degenerate top
-    # eigenvalues make the climb slow, so the stop demands a long stretch of
-    # relative changes far below the target accuracy.
-    q_prev = -1.0
-    steady = 0
-    for _ in range(max_iter):
-        av = normal_apply(v)
-        rho = float(np.vdot(v, av).real)
-        if rho <= 0.0:
-            return 0.0
-        q = np.sqrt(rho)
-        navn = np.linalg.norm(av.ravel())
-        if navn == 0.0:
-            return 0.0
-        v = av / navn
-        if q_prev > 0 and abs(q - q_prev) <= 1e-4 * rtol * q:
-            steady += 1
-            if steady >= 8:
-                return q
-        else:
-            steady = 0
-        q_prev = q
+    Lanczos from the unit vector v0, restarted from the top Ritz vector each
+    time LANCZOS_M vectors are used up.  It stops once the top pair's residual
+    norm b |z_last| falls to RITZ_RTOL theta; for a Hermitian operator some
+    eigenvalue then lies that close to theta.
+    """
+    v = v0
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        for V, diag, off, b in _lanczos(apply_fn, v, LANCZOS_M):
+            if not (np.isfinite(b) and np.isfinite(diag[-1])):
+                raise NumericalError(
+                    f"normal operator returned non-finite values at alpha={alpha}")
+            theta, z = _tridiagonal_eigh(diag, off)
+            converged = b * abs(z[-1, -1]) <= RITZ_RTOL * abs(theta[-1])
+            if converged:
+                break
+        top = z[:, -1] @ V
+        v = (top / np.linalg.norm(top)).reshape(v0.shape)
+        if converged:
+            return float(theta[-1]), v
     raise NumericalError(
-        f"power iteration stagnated at alpha={alpha} (last estimate {q_prev:.6g})")
+        f"Lanczos found no top eigenvalue at alpha={alpha} within "
+        f"{LANCZOS_MAX_RESTARTS} restarts")
 
 
 def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
-                     seed: int = 2024, rtol: float = POWER_RTOL):
-    """q(alpha) over the sampled shifts and the smallest alpha with q < 1."""
+                     seed: int = 2024):
+    """q(alpha) over the sampled shifts and the smallest alpha with q < 1.
+
+    q(alpha)^2 is the top eigenvalue of R W^dag W R, R = (-Lap + alpha)^-1.
+    The first shift starts from a seeded random unit vector r; each later one
+    from the previous top eigenvector plus r, since the old eigenvector alone
+    can span an invariant subspace of the new operator that misses its top.
+    """
     alphas = [float(a) for a in alphas]
     if sorted(alphas) != alphas:
         raise ConfigError("alpha grid must be increasing")
-    q = np.array([operator_norm_estimate(w_op, a, seed=seed, rtol=rtol)
-                  for a in alphas])
+    grid = w_op.grid
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    r /= np.linalg.norm(r.ravel())
+    q = np.empty(len(alphas))
+    start = r
+    # overflow surfaces as _top_eigenpair's NumericalError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, alpha in enumerate(alphas):
+            def normal_apply(x: np.ndarray, alpha=alpha) -> np.ndarray:
+                y = w_op.apply(resolvent_apply(x, grid, alpha))
+                return resolvent_apply(w_op.adjoint_apply(y), grid, alpha)
+
+            theta, top = _top_eigenpair(normal_apply, start, alpha)
+            q[i] = np.sqrt(max(theta, 0.0))
+            start = top + r
+            start /= np.linalg.norm(start.ravel())
     alpha_star = None
     for a, qa in zip(alphas, q):
         if qa < 1.0:
@@ -149,12 +167,14 @@ def infinitesimal_bound_scan(w_op: CouplingOperator, epsilons: Sequence[float],
     if len(probes) < 64:
         raise ConfigError("relative-bound scan needs at least 64 probes")
     grid = probes[0].grid
+    # Parseval for the unnormalized FFT: ||Lap psi|| = ||k^2 F psi|| / sqrt(N)
+    inv_sqrt_n = 1.0 / np.sqrt(grid.npoints)
     w_norms = []
     lap_norms = []
     norms = []
     for p in probes:
         wn = np.linalg.norm(w_op.apply(p.values).ravel())
-        ln = np.linalg.norm((np.fft.ifftn(grid.k_square * np.fft.fftn(p.values))).ravel())
+        ln = np.linalg.norm((grid.k_square * np.fft.fftn(p.values)).ravel()) * inv_sqrt_n
         nn = np.linalg.norm(p.values.ravel())
         w_norms.append(wn ** 2)
         lap_norms.append(ln ** 2)

@@ -20,6 +20,7 @@ transverse-momentum zero sector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,17 +52,25 @@ class PotentialModel:
     n_particles: int = 1
 
 
+def _check_length(name: str, value: float) -> None:
+    # the potentials square their length scales
+    if not (value > 0 and math.isfinite(value * value)):
+        raise ConfigError(f"{name} must be positive with a finite square")
+
+
 def soft_core_coulomb(z: float = 1.0, eps: float = 1.0) -> PotentialModel:
     """V(x) = -2Z / sqrt(|x|^2 + eps^2); eps > 0 regularizes the singularity."""
-    if eps <= 0:
-        raise ConfigError("softening length must be positive")
+    if not math.isfinite(z):
+        raise ConfigError("nuclear charge must be finite")
+    _check_length("softening length", eps)
     return PotentialModel(SOFT_CORE, z=float(z), eps=float(eps))
 
 
 def gaussian_well(depth: float, width: float) -> PotentialModel:
     """V(x) = -depth * exp(-|x|^2 / (2 width^2))."""
-    if depth <= 0 or width <= 0:
-        raise ConfigError("well depth and width must be positive")
+    if not 0 < depth < math.inf:
+        raise ConfigError("well depth must be finite and positive")
+    _check_length("well width", width)
     return PotentialModel(GAUSSIAN_WELL, depth=float(depth), width=float(width))
 
 
@@ -69,8 +78,7 @@ def n_body_soft_core(n_particles: int, eps: float = 1.0) -> PotentialModel:
     """Atom with N electrons: -sum_k 2N/|r_k| + sum_{k<l} 2/|r_k - r_l|, softened."""
     if n_particles < 1:
         raise ConfigError("particle count must be >= 1")
-    if eps <= 0:
-        raise ConfigError("softening length must be positive")
+    _check_length("softening length", eps)
     return PotentialModel(NBODY_SOFT_CORE, eps=float(eps), n_particles=int(n_particles))
 
 
@@ -92,7 +100,9 @@ def potential_on_grid(pot: PotentialModel, grid: Grid) -> np.ndarray:
     hit = _potential_cache.get(key)
     if hit is not None:
         return hit
-    out = _sample_potential(pot, grid)
+    # an overflow or 0/0 while sampling shows up as a non-finite sample below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = _sample_potential(pot, grid)
     if not np.all(np.isfinite(out)):
         raise ConfigError("potential samples are not finite")
     out.setflags(write=False)

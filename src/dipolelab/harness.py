@@ -87,16 +87,25 @@ class StudyConfig:
         self.grid_lengths = tuple(float(l) for l in np.atleast_1d(self.grid_lengths))
         self.lambdas = tuple(float(l) for l in np.atleast_1d(self.lambdas))
         # every domain check below fails on NaN, which compares false
-        if not all(0 < lam < math.inf for lam in self.lambdas):
-            raise ConfigError("every lambda must be finite and positive")
+        if not (self.lambdas and all(0 < lam < math.inf for lam in self.lambdas)):
+            raise ConfigError("need at least one lambda, each finite and positive")
         if list(self.lambdas) != sorted(set(self.lambdas)):
             raise ConfigError("lambda list must be strictly increasing")
+        # the field phase 2 pi x / lambda must stay finite across the box
+        if not math.isfinite(2.0 * math.pi * max(self.grid_lengths, default=0.0)
+                             / self.lambdas[0]):
+            raise ConfigError("the shortest lambda is too small for the box")
         if self.threads < 1:
             raise ConfigError("thread count must be >= 1")
         if not 0 < self.dt < math.inf:
             raise ConfigError("dt must be finite and positive")
         if not 0 < self.omega < math.inf:
             raise ConfigError("omega must be finite and positive")
+        # every profile stays below sqrt(2), so |b|^2 <= 2 particles (E/omega)^2;
+        # field-check samples the envelope itself, at omega = 1
+        b_max = abs(self.amplitude) * max(1.0, 1.0 / self.omega)
+        if not math.isfinite(2.0 * self.particles * b_max * b_max):
+            raise ConfigError("amplitude must be finite with a finite |b|^2 = (E/omega)^2")
         if self.panels < 1:
             raise ConfigError("panels must be >= 1")
         if not 8 <= self.krylov_m <= 64:
@@ -231,6 +240,8 @@ class StudyConfig:
         try:
             if not cp.read(path):
                 raise ConfigError(f"cannot read config file {path}")
+            # required keys go through cp.get*(section, key), which raises when
+            # the key is missing; a section's get* returns None instead
             grid = cp["grid"]
             fld = cp["field"]
             pot = cp["potential"]
@@ -239,14 +250,14 @@ class StudyConfig:
             t_final = run.get("t_final", "auto")
             return cls(
                 preset=run.get("preset", "custom"),
-                grid_dim=grid.getint("dim"),
+                grid_dim=cp.getint("grid", "dim"),
                 grid_points=tuple(int(x) for x in grid["points"].split(",")),
                 grid_lengths=tuple(float(x) for x in grid["lengths"].split(",")),
                 particles=grid.getint("particles", 1),
                 envelope_kind=fld["kind"].strip(),
-                amplitude=fld.getfloat("amplitude"),
+                amplitude=cp.getfloat("field", "amplitude"),
                 polarization=fld.get("polarization", "out_of_plane"),
-                omega=fld.getfloat("omega"),
+                omega=cp.getfloat("field", "omega"),
                 lambdas=tuple(float(x) for x in fld["lambdas"].split(",")),
                 potential_kind=pot["kind"].strip(),
                 potential_z=pot.getfloat("z", 1.0),
@@ -255,8 +266,8 @@ class StudyConfig:
                 potential_width=pot.getfloat("width", 1.0),
                 t0=None if t0 == "auto" else float(t0),
                 t_final=None if t_final == "auto" else float(t_final),
-                dt=run.getfloat("dt"),
-                panels=run.getint("panels"),
+                dt=cp.getfloat("run", "dt"),
+                panels=cp.getint("run", "panels"),
                 initial_state=run.get("initial_state", "ground"),
                 ground_tol=run.getfloat("ground_tol", 1e-8),
                 packet_sigma=run.getfloat("packet_sigma", 1.5),

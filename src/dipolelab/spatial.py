@@ -99,9 +99,13 @@ def make_grid(dim: int, points, lengths, particles: int = 1,
     for p in points:
         if p < 8 or (p & (p - 1)) != 0:
             raise ConfigError(f"points per axis must be a power of two >= 8, got {p}")
-    for l in lengths:
-        if not 0 < l < math.inf:
-            raise ConfigError("box lengths must be finite and positive")
+    for p, l in zip(points, lengths):
+        # the operators square every coordinate (up to l) and momentum (up to pi p / l)
+        k_max = math.pi * p / l if l > 0 else math.inf
+        if not (0 < l < math.inf and math.isfinite(dim * l * l)
+                and math.isfinite(dim * k_max * k_max)):
+            raise ConfigError("box lengths must be finite and positive, with finite "
+                              "squared coordinates and momenta")
     if particles < 1 or dim % particles != 0:
         raise ConfigError("particle count must divide the grid dimension")
     total = int(np.prod(points))

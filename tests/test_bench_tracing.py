@@ -45,3 +45,21 @@ def test_tracer_patches_only_bound_names_and_restores_them(tracing):
         assert (module, "profile_value") in names
     for module, attr, original in restored:
         assert getattr(module, attr) is original
+
+
+def test_bounds_probe_runs_through_the_traced_names(tracing):
+    # the traced probe counts bounds.resolvent calls and times one
+    # bounds.contraction span; both need the module-global lookups
+    from test_harness import trimmed_config
+    from dipolelab import harness
+
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        harness.run_bounds_check(trimmed_config())
+    finally:
+        restored = tracer.restore()
+    assert all(getattr(module, attr) is original for module, attr, original in restored)
+    names = [rec[tracing.NAME] for rec in tracer.spans]
+    assert names.count("bounds.contraction") == 1
+    assert names.count("bounds.resolvent") >= 1

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from dipolelab import bounds, fields, hamiltonians as ham, spatial
-from dipolelab.errors import ConfigError
+from dipolelab.errors import ConfigError, NumericalError
 
 
 def free_spec():
@@ -23,7 +24,8 @@ def preset_w_operator():
 def test_zero_operator_norms_vanish():
     g = spatial.make_grid(1, 64, 10.0)
     w = bounds.CouplingOperator.explicit(g)
-    alphas, q, alpha_star = bounds.contraction_scan(w, [1.0, 10.0])
+    with np.errstate(all="raise"):
+        alphas, q, alpha_star = bounds.contraction_scan(w, [1.0, 10.0])
     assert np.all(q == 0.0)
     assert alpha_star == 1.0
     probes = bounds.probe_ensemble(g, 64, seed=1)
@@ -44,6 +46,81 @@ def test_contraction_matches_symbol_oracle():
     for a, qa in zip(alphas, q):
         oracle = np.max(np.abs(1.0 - 2.0 * k) / (k ** 2 + a))
         assert abs(qa - oracle) <= 1e-3 * oracle
+
+
+def dense_contraction(w, alpha):
+    """sqrt of the top eigenvalue of the dense matrix (W R)^dag (W R)."""
+    g = w.grid
+    n = g.npoints
+    basis = np.eye(n, dtype=complex).reshape((n,) + g.shape)
+    axes = tuple(range(1, g.dim + 1))
+    r = np.fft.ifftn(np.fft.fftn(basis, axes=axes) / (g.k_square + alpha), axes=axes)
+    r = r.reshape(n, n).T
+    wm = np.array([w.apply(e).ravel() for e in basis]).T
+    wr = wm @ r
+    return np.sqrt(np.linalg.eigvalsh(wr.conj().T @ wr)[-1])
+
+
+def dense_oracle_operators():
+    env = fields.transverse_envelope("cw", 0.25, 1)
+    spec = ham.dipole_velocity(fields.ScaledField(env, 10.0, 1.0),
+                               ham.soft_core_coulomb(1.0, 1.0))
+    g1 = spatial.make_grid(1, 64, 16.0)
+    yield bounds.CouplingOperator.from_spec(spec, 0.7, g1)
+    # in-plane drift that varies in x: W is not normal
+    g2 = spatial.make_grid(2, [16, 8], [8.0, 6.0])
+    x, y = g2.mesh(0), g2.mesh(1)
+    bx = 0.6 * np.sin(2 * np.pi * x / 8.0) + 0.2 * np.cos(2 * np.pi * y / 6.0)
+    by = 0.3 * np.cos(2 * np.pi * x / 8.0)
+    yield bounds.CouplingOperator.explicit(g2, b_axes={0: bx, 1: by},
+                                           b_sq=bx ** 2 + by ** 2,
+                                           v=-1.0 / np.sqrt(1.0 + x ** 2 + y ** 2))
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["soft-core-1d", "in-plane-2d"])
+def test_contraction_matches_dense_oracle(index):
+    w = list(dense_oracle_operators())[index]
+    alphas = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
+    _, q, _ = bounds.contraction_scan(w, alphas, seed=4)
+    for a, qa in zip(alphas, q):
+        oracle = dense_contraction(w, a)
+        assert abs(qa - oracle) <= 1e-9 * oracle
+
+
+@pytest.mark.parametrize("drift", [False, True], ids=["soft-core", "constant-drift"])
+def test_warm_started_scan_matches_cold_solves(drift):
+    # constant drift: W R is diagonal in k, so each top eigenvector is an
+    # exact eigenvector of the next shift's operator
+    if drift:
+        g = spatial.make_grid(1, 256, 20.0)
+        w = bounds.CouplingOperator.explicit(g, b_axes={0: 1.0}, b_sq=1.0)
+    else:
+        w, _ = preset_w_operator()
+    alphas = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
+    _, q, _ = bounds.contraction_scan(w, alphas, seed=11)
+    for a, qa in zip(alphas, q):
+        _, cold, _ = bounds.contraction_scan(w, [a], seed=11)
+        assert abs(qa - cold[0]) <= 1e-9 * cold[0]
+
+
+def test_contraction_restart_cap_raises(monkeypatch):
+    # the constant-drift symbol has a flat top at alpha = 100: one cycle of
+    # LANCZOS_M vectors does not reach the residual target
+    g = spatial.make_grid(1, 256, 20.0)
+    w = bounds.CouplingOperator.explicit(g, b_axes={0: 1.0}, b_sq=1.0)
+    monkeypatch.setattr(bounds, "LANCZOS_MAX_RESTARTS", 0)
+    with pytest.raises(NumericalError, match="restarts"):
+        bounds.contraction_scan(w, [100.0], seed=11)
+
+
+def test_contraction_overflow_is_a_numerical_error():
+    g = spatial.make_grid(1, 64, 10.0)
+    w = bounds.CouplingOperator.explicit(g, v=np.full(g.shape, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            bounds.contraction_scan(w, [1.0])
+    assert "\n" not in str(info.value)
 
 
 def test_contraction_scan_on_soft_core_spec():

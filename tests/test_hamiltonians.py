@@ -161,6 +161,16 @@ def test_potential_factory_validation():
         ham.gaussian_well(-1.0, 1.0)
     with pytest.raises(ConfigError):
         ham.HamiltonianSpec("sideways", zero_field(), ham.zero_potential())
+    # non-finite parameters, and length scales whose square overflows
+    nan, inf = float("nan"), float("inf")
+    for z, eps in ((nan, 1.0), (inf, 1.0), (1.0, nan), (1.0, inf), (1.0, 1e308)):
+        with pytest.raises(ConfigError):
+            ham.soft_core_coulomb(z, eps)
+    for depth, width in ((nan, 1.0), (inf, 1.0), (1.0, nan), (1.0, 1e200)):
+        with pytest.raises(ConfigError):
+            ham.gaussian_well(depth, width)
+    with pytest.raises(ConfigError):
+        ham.n_body_soft_core(2, 1e308)
 
 
 def test_potential_cache_is_bounded():

@@ -29,7 +29,8 @@ def test_make_grid_rejects_bad_points():
         spatial.make_grid(1, 1 << 23, 40.0)  # memory cap
     with pytest.raises(ConfigError):
         spatial.make_grid(3, [8, 8, 8], [1.0, 1.0, 1.0], particles=2)
-    for length in (0.0, -1.0, float("nan"), float("inf")):
+    # 1e308 squares past the float range; 1e-300 makes pi n / l do the same
+    for length in (0.0, -1.0, float("nan"), float("inf"), 1e308, 1e-300):
         with pytest.raises(ConfigError):
             spatial.make_grid(1, 8, length)
 
