@@ -6,9 +6,9 @@ probe ensembles:
   * contraction_scan: q(alpha) = ||W R_alpha||, R_alpha = (-Lap + alpha)^-1;
     invertibility of 1 + W R_alpha needs q < 1.  q(alpha)^2 is the top
     eigenvalue of the Hermitian PSD normal operator R W^dag W R, found by the
-    Lanczos recurrence the Krylov stepper uses (propagate._lanczos), restarted
-    from the top Ritz vector every 24 vectors.  It stops once the top Ritz
-    pair's residual is at most 1e-8 times its Ritz value.  Shifts run in
+    restarted-Lanczos eigensolver that also finds the ground state
+    (propagate._top_eigenpair).  It stops once the top Ritz pair's residual
+    is at most RITZ_RTOL = 1e-8 times its Ritz value.  Shifts run in
     increasing order, each warm-started from the previous top eigenvector
     plus the seeded random start.
   * infinitesimal_bound_scan: smallest C with ||W psi||^2 <= eps ||Lap psi||^2
@@ -27,20 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .fields import coupling_arrays
 from .hamiltonians import (DIPOLE_LENGTH, DIPOLE_VELOCITY, HamiltonianSpec,
                            hamiltonian_apply_fn, length_gauge_term,
                            potential_on_grid)
-from .propagate import _lanczos, _tridiagonal_eigh
+from .propagate import _top_eigenpair
 from .spatial import Grid, WaveFunction, spectral_axis_derivative
 
-# Lanczos for q(alpha): at most LANCZOS_M basis vectors per cycle.  A flat
-# spectral top (constant drift and no potential, diagonal in k) can take
-# hundreds of restarts; the cap allows about 19,000 applies per shift.
-LANCZOS_M = 24
+# relative residual at which the top Ritz value q(alpha)^2 is accepted
 RITZ_RTOL = 1e-8
-LANCZOS_MAX_RESTARTS = 800
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,33 +88,6 @@ def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     return np.fft.ifftn(np.fft.fftn(values) / (grid.k_square + alpha))
 
 
-def _top_eigenpair(apply_fn, v0: np.ndarray, alpha: float):
-    """Largest eigenvalue and unit eigenvector of a Hermitian PSD operator.
-
-    Lanczos from the unit vector v0, restarted from the top Ritz vector each
-    time LANCZOS_M vectors are used up.  It stops once the top pair's residual
-    norm b |z_last| falls to RITZ_RTOL theta; for a Hermitian operator some
-    eigenvalue then lies that close to theta.
-    """
-    v = v0
-    for _ in range(LANCZOS_MAX_RESTARTS + 1):
-        for V, diag, off, b in _lanczos(apply_fn, v, LANCZOS_M):
-            if not (np.isfinite(b) and np.isfinite(diag[-1])):
-                raise NumericalError(
-                    f"normal operator returned non-finite values at alpha={alpha}")
-            theta, z = _tridiagonal_eigh(diag, off)
-            converged = b * abs(z[-1, -1]) <= RITZ_RTOL * abs(theta[-1])
-            if converged:
-                break
-        top = z[:, -1] @ V
-        v = (top / np.linalg.norm(top)).reshape(v0.shape)
-        if converged:
-            return float(theta[-1]), v
-    raise NumericalError(
-        f"Lanczos found no top eigenvalue at alpha={alpha} within "
-        f"{LANCZOS_MAX_RESTARTS} restarts")
-
-
 def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
                      seed: int = 2024):
     """q(alpha) over the sampled shifts and the smallest alpha with q < 1.
@@ -144,7 +113,9 @@ def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
                 y = w_op.apply(resolvent_apply(x, grid, alpha))
                 return resolvent_apply(w_op.adjoint_apply(y), grid, alpha)
 
-            theta, top = _top_eigenpair(normal_apply, start, alpha)
+            theta, top = _top_eigenpair(normal_apply, start,
+                                        f"the normal operator at alpha={alpha}",
+                                        rtol=RITZ_RTOL)
             q[i] = np.sqrt(max(theta, 0.0))
             start = top + r
             start /= np.linalg.norm(start.ravel())

@@ -118,6 +118,9 @@ class StudyConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
+        # evolve rounds (final_time - start_time) / dt to an integer step count
+        if not math.isfinite((self.final_time - self.start_time) / self.dt):
+            raise ConfigError("(t_final - t0) / dt must be a finite step count")
 
     # -- derived pieces ---------------------------------------------------
 

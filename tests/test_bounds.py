@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dipolelab import bounds, fields, hamiltonians as ham, spatial
+from dipolelab import bounds, fields, hamiltonians as ham, propagate, spatial
 from dipolelab.errors import ConfigError, NumericalError
 
 
@@ -108,7 +108,7 @@ def test_contraction_restart_cap_raises(monkeypatch):
     # LANCZOS_M vectors does not reach the residual target
     g = spatial.make_grid(1, 256, 20.0)
     w = bounds.CouplingOperator.explicit(g, b_axes={0: 1.0}, b_sq=1.0)
-    monkeypatch.setattr(bounds, "LANCZOS_MAX_RESTARTS", 0)
+    monkeypatch.setattr(propagate, "LANCZOS_MAX_RESTARTS", 0)
     with pytest.raises(NumericalError, match="restarts"):
         bounds.contraction_scan(w, [100.0], seed=11)
 

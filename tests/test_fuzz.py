@@ -1,7 +1,8 @@
-"""Hypothesis fuzzing of the probe path's outside inputs.
+"""Hypothesis fuzzing of the command line's outside inputs.
 
-INI values go through the ``bounds`` and ``field-check`` subcommands, which
-must exit 0, 1 or 2 with at most one stderr line and no escaping exception;
+INI values go through every subcommand that reads a config (``bounds``,
+``field-check``, ``sweep``, ``cook`` and ``gauge-check``), which must exit
+0, 1 or 2 with at most one stderr line and no escaping exception;
 a numpy RuntimeWarning is turned into an exception, so a warning counts as a
 leak.  Snapshot bytes go through ``spatial.read_snapshot``, which may
 raise only ``ConfigError``.  Example counts stay small and derandomized so
@@ -17,6 +18,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dipolelab import cli, harness, spatial
@@ -93,6 +95,16 @@ def test_fuzz_bounds_cli(changes):
 @example([(("field", "lambdas"), "5e-324")])
 def test_fuzz_field_check_cli(changes):
     check_cli("field-check", changes)
+
+
+# t_final 1e308 made the step count (t_final - t0) / dt infinite, and evolve
+# leaked an OverflowError from int(round(inf)).
+@pytest.mark.parametrize("command", ["sweep", "cook", "gauge-check"])
+@FUZZ
+@given(changes=edits)
+@example(changes=[(("run", "t_final"), "1e308")])
+def test_fuzz_study_cli(command, changes):
+    check_cli(command, changes)
 
 
 def test_bounds_overflowing_operator_exits_2_with_one_line():

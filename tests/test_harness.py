@@ -65,7 +65,7 @@ def test_config_validation():
     ("lambdas", (float("nan"),)), ("lambdas", (0.0, 20.0)),
     ("lambdas", (20.0, float("inf"))), ("seed", -1),
     ("lambdas", ()), ("lambdas", (5e-324,)), ("amplitude", float("nan")),
-    ("amplitude", 1e308), ("amplitude", 1e154),
+    ("amplitude", 1e308), ("amplitude", 1e154), ("t_final", 1e308),
 ])
 def test_config_domain_checks(field, value):
     with pytest.raises(ConfigError):
@@ -221,7 +221,9 @@ def test_cli_malformed_ini(tmp_path, capsys, text):
 @pytest.mark.parametrize("section, key, value", [
     ("field", "omega", "0"), ("run", "dt", "nan"), ("run", "panels", "0"),
     ("run", "krylov_m", "100"), ("field", "amplitude", "1e308"),
-], ids=["omega-zero", "dt-nan", "panels-zero", "krylov-m-100", "amplitude-1e308"])
+    ("run", "t_final", "1e308"),
+], ids=["omega-zero", "dt-nan", "panels-zero", "krylov-m-100", "amplitude-1e308",
+        "t-final-1e308"])
 def test_cli_config_hole_fails_before_compute(tmp_path, capsys, monkeypatch,
                                               command, section, key, value):
     def no_compute(*args, **kwargs):
