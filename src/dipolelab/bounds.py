@@ -5,24 +5,30 @@ probe ensembles:
 
   * contraction_scan: q(alpha) = ||W R_alpha||, R_alpha = (-Lap + alpha)^-1;
     invertibility of 1 + W R_alpha needs q < 1.  q(alpha)^2 is the top
-    eigenvalue of the Hermitian PSD normal operator R W^dag W R, found by the
-    restarted-Lanczos eigensolver that also finds the ground state
-    (propagate._top_eigenpair).  It stops once the top Ritz pair's residual
-    is at most RITZ_RTOL = 1e-8 times its Ritz value.  Shifts run in
-    increasing order, each warm-started from the previous top eigenvector
-    plus the seeded random start.
+    eigenvalue of the Hermitian PSD normal operator W R^2 W^dag (R is
+    self-adjoint), applied as W^dag, one resolvent squared and W, so one
+    transform pair per apply when b has no on-grid component.  It is found
+    by the restarted-Lanczos eigensolver that also finds the ground state
+    (propagate._top_eigenpair), which stops once the top Ritz pair's
+    residual is at most RITZ_RTOL = 1e-8 times its Ritz value.  Shifts run
+    in increasing order, each warm-started from the previous top
+    eigenvector plus the seeded random start.
   * infinitesimal_bound_scan: smallest C with ||W psi||^2 <= eps ||Lap psi||^2
     + C ||psi||^2 over the probes (a lower bound on the true constant).
   * graph_norm_constants: the ratio between the discrete second Sobolev norm
     and the graph norm ||psi|| + ||(H + alpha) psi||.
 
-The estimates are grid-dependent; reports carry the grid and seed so numbers
-are reproducible bit-for-bit and never extrapolated to the continuum.
+The probe kernels work on stacked probe blocks (probe axis leading) of at
+most PROBE_BLOCK_POINTS grid points: 16 probes of a 512-point grid, one
+probe of a 128^2 grid.  The estimates are grid-dependent; reports carry the
+grid and seed so numbers are reproducible bit-for-bit and never
+extrapolated to the continuum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,15 +39,23 @@ from .hamiltonians import (DIPOLE_LENGTH, DIPOLE_VELOCITY, HamiltonianSpec,
                            hamiltonian_apply_fn, length_gauge_term,
                            potential_on_grid)
 from .propagate import _top_eigenpair
-from .spatial import Grid, WaveFunction, spectral_axis_derivative
+from .spatial import Grid, WaveFunction, fourier_pair, spectral_axis_derivative
 
 # relative residual at which the top Ritz value q(alpha)^2 is accepted
 RITZ_RTOL = 1e-8
 
+# grid points per stacked probe block (128 KiB of complex values), so a block
+# stays cache-sized and a probe child's peak memory stays below a study's
+PROBE_BLOCK_POINTS = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class CouplingOperator:
-    """W = 2i b.grad + b^2 + V as a matrix-free operator on a grid."""
+    """W = 2i b.grad + b^2 + V as a matrix-free operator on a grid.
+
+    apply and adjoint_apply act on the trailing grid axes, so a stack of
+    states with the probe axis leading goes through in one call.
+    """
 
     grid: Grid
     b_axes: dict
@@ -63,39 +77,53 @@ class CouplingOperator:
         return cls(grid, dict(b_axes or {}), b_sq,
                    np.zeros(grid.shape) if v is None else v)
 
+    @cached_property
+    def diagonal(self):
+        """The multiplication part b^2 + V, formed once per operator."""
+        return self.b_sq + self.v
+
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = (self.b_sq + self.v) * values
+        out = np.multiply(self.diagonal, values, dtype=complex)
         if self.b_axes:
-            vhat = np.fft.fftn(values)
+            forward, inverse = fourier_pair(self.grid)
+            vhat = forward(values)
             for axis, b in self.b_axes.items():
-                grad = np.fft.ifftn(vhat * (1j * self.grid.k_mesh(axis)))
-                out = out + 2j * b * grad
+                grad = vhat * (1j * self.grid.k_mesh(axis))
+                inverse(grad, out=grad)
+                out += 2j * b * grad
         return out
 
     def adjoint_apply(self, values: np.ndarray) -> np.ndarray:
         # (2i b . grad)^dagger = 2i grad . (b .) for real b; multiplications
         # are self-adjoint.
-        out = (self.b_sq + self.v) * values
+        out = np.multiply(self.diagonal, values, dtype=complex)
         for axis, b in self.b_axes.items():
-            out = out + 2j * spectral_axis_derivative(b * values, self.grid, axis)
+            out += 2j * spectral_axis_derivative(b * values, self.grid, axis)
         return out
 
 
-def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    """(-Lap + alpha)^-1, diagonal in momentum space."""
+def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
+                    power: int = 1) -> np.ndarray:
+    """(-Lap + alpha)^-power, diagonal in momentum space; leading axes are a batch."""
     if alpha <= 0:
         raise ConfigError("resolvent shift must be positive")
-    return np.fft.ifftn(np.fft.fftn(values) / (grid.k_square + alpha))
+    forward, inverse = fourier_pair(grid)
+    symbol = grid.k_square + alpha
+    vhat = forward(values)
+    for _ in range(power):
+        vhat /= symbol
+    return inverse(vhat, out=vhat)
 
 
 def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
                      seed: int = 2024):
     """q(alpha) over the sampled shifts and the smallest alpha with q < 1.
 
-    q(alpha)^2 is the top eigenvalue of R W^dag W R, R = (-Lap + alpha)^-1.
-    The first shift starts from a seeded random unit vector r; each later one
-    from the previous top eigenvector plus r, since the old eigenvector alone
-    can span an invariant subspace of the new operator that misses its top.
+    q(alpha)^2 = ||W R||^2, R = (-Lap + alpha)^-1, is the top eigenvalue of
+    W R^2 W^dag.  The first shift starts from a seeded random unit vector r;
+    each later one from the previous top eigenvector plus r, since the old
+    eigenvector alone can span an invariant subspace of the new operator
+    that misses its top.
     """
     alphas = [float(a) for a in alphas]
     if sorted(alphas) != alphas:
@@ -110,8 +138,8 @@ def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
     with np.errstate(over="ignore", invalid="ignore"):
         for i, alpha in enumerate(alphas):
             def normal_apply(x: np.ndarray, alpha=alpha) -> np.ndarray:
-                y = w_op.apply(resolvent_apply(x, grid, alpha))
-                return resolvent_apply(w_op.adjoint_apply(y), grid, alpha)
+                y = resolvent_apply(w_op.adjoint_apply(x), grid, alpha, power=2)
+                return w_op.apply(y)
 
             theta, top = _top_eigenpair(normal_apply, start,
                                         f"the normal operator at alpha={alpha}",
@@ -127,6 +155,28 @@ def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
     return np.array(alphas), q, alpha_star
 
 
+def probe_blocks(probes: Sequence[WaveFunction]):
+    """Probe values stacked with the probe axis leading, in order.
+
+    A block holds at most PROBE_BLOCK_POINTS grid points, or one probe when
+    a single probe is larger; a one-probe block is a view of its values, so
+    the kernels only read their blocks.
+    """
+    per_block = max(1, PROBE_BLOCK_POINTS // probes[0].grid.npoints)
+    for i in range(0, len(probes), per_block):
+        chunk = probes[i:i + per_block]
+        if len(chunk) == 1:
+            yield chunk[0].values[np.newaxis]
+        else:
+            yield np.stack([p.values for p in chunk])
+
+
+def _squared_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean squared norm of each probe (leading axis) of a block."""
+    flat = block.reshape(block.shape[0], -1)
+    return np.vecdot(flat, flat).real
+
+
 def infinitesimal_bound_scan(w_op: CouplingOperator, epsilons: Sequence[float],
                              probes: Sequence[WaveFunction]) -> np.ndarray:
     """Smallest C per eps with ||W psi||^2 <= eps ||Lap psi||^2 + C ||psi||^2.
@@ -138,21 +188,18 @@ def infinitesimal_bound_scan(w_op: CouplingOperator, epsilons: Sequence[float],
     if len(probes) < 64:
         raise ConfigError("relative-bound scan needs at least 64 probes")
     grid = probes[0].grid
-    # Parseval for the unnormalized FFT: ||Lap psi|| = ||k^2 F psi|| / sqrt(N)
-    inv_sqrt_n = 1.0 / np.sqrt(grid.npoints)
-    w_norms = []
-    lap_norms = []
-    norms = []
-    for p in probes:
-        wn = np.linalg.norm(w_op.apply(p.values).ravel())
-        ln = np.linalg.norm((grid.k_square * np.fft.fftn(p.values)).ravel()) * inv_sqrt_n
-        nn = np.linalg.norm(p.values.ravel())
-        w_norms.append(wn ** 2)
-        lap_norms.append(ln ** 2)
-        norms.append(nn ** 2)
-    w_norms = np.array(w_norms)
-    lap_norms = np.array(lap_norms)
-    norms = np.array(norms)
+    forward, _ = fourier_pair(grid)
+    w_norms, lap_norms, norms = [], [], []
+    for block in probe_blocks(probes):
+        w_norms.append(_squared_norms(w_op.apply(block)))
+        lap = forward(block)
+        np.multiply(grid.k_square, lap, out=lap)
+        lap_norms.append(_squared_norms(lap))
+        norms.append(_squared_norms(block))
+    w_norms = np.concatenate(w_norms)
+    # Parseval for the unnormalized FFT: ||Lap psi||^2 = ||k^2 F psi||^2 / N
+    lap_norms = np.concatenate(lap_norms) / grid.npoints
+    norms = np.concatenate(norms)
     out = []
     for eps in epsilons:
         c = np.max((w_norms - float(eps) * lap_norms) / norms)
@@ -160,16 +207,25 @@ def infinitesimal_bound_scan(w_op: CouplingOperator, epsilons: Sequence[float],
     return np.array(out)
 
 
+def _sobolev_weight(grid: Grid) -> np.ndarray:
+    """The momentum weight 1 + k^2 + k^4, flattened."""
+    return (1.0 + grid.k_square + grid.k_square ** 2).ravel()
+
+
+def _sobolev_norms(block: np.ndarray, grid: Grid, weight: np.ndarray) -> np.ndarray:
+    forward, _ = fourier_pair(grid)
+    vhat = forward(block)
+    dens = (vhat.real ** 2 + vhat.imag ** 2).reshape(block.shape[0], -1)
+    return np.sqrt(dens @ weight * grid.cell_volume / grid.npoints)
+
+
 def sobolev_norm(psi: WaveFunction) -> float:
     """(1 + k^2 + k^4)^(1/2)-weighted momentum norm (discrete W^{2,2}).
 
     With unit weight this reduces to the plain L2 norm (Parseval).
     """
-    g = psi.grid
-    vhat = np.fft.fftn(psi.values)
-    weight = 1.0 + g.k_square + g.k_square ** 2
-    total = float(np.sum(weight * np.abs(vhat) ** 2))
-    return np.sqrt(total * g.cell_volume / g.npoints)
+    return float(_sobolev_norms(psi.values[np.newaxis], psi.grid,
+                                _sobolev_weight(psi.grid))[0])
 
 
 def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
@@ -179,15 +235,18 @@ def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
         raise ConfigError("need at least one probe")
     grid = probes[0].grid
     fn = hamiltonian_apply_fn(spec, t, grid)
+    weight = _sobolev_weight(grid)
     ratios = []
     scale = np.sqrt(grid.cell_volume)
-    for p in probes:
-        n = np.linalg.norm(p.values.ravel()) * scale
-        if n == 0.0:
+    for block in probe_blocks(probes):
+        n = np.sqrt(_squared_norms(block)) * scale
+        if np.any(n == 0.0):
             raise ConfigError("degenerate zero-norm probe")
-        hp = fn(p.values) + alpha * p.values
-        graph = n + np.linalg.norm(hp.ravel()) * scale
-        ratios.append(sobolev_norm(p) / graph)
+        hp = fn(block)
+        hp += alpha * block
+        graph = n + np.sqrt(_squared_norms(hp)) * scale
+        ratios.append(_sobolev_norms(block, grid, weight) / graph)
+    ratios = np.concatenate(ratios)
     return float(np.min(ratios)), float(np.max(ratios))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
-import io
 import json
 import math
 import time
@@ -45,6 +44,10 @@ from .propagate import (KRYLOV, SPLIT, StepperConfig, evolve,
 from .spatial import Grid, WaveFunction, gaussian_packet, make_grid, write_snapshot
 
 PRESETS = ("cw-1d", "pulse-1d", "two-body-1d")
+
+# the presets take at most 1,280 steps; a config far beyond that would run
+# for days
+MAX_STEPS = 2 ** 20
 
 _SECTION_ORDER = ("grid", "field", "potential", "run")
 
@@ -118,9 +121,11 @@ class StudyConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
-        # evolve rounds (final_time - start_time) / dt to an integer step count
-        if not math.isfinite((self.final_time - self.start_time) / self.dt):
-            raise ConfigError("(t_final - t0) / dt must be a finite step count")
+        # evolve rounds (final_time - start_time) / dt to an integer step count;
+        # NaN and inf fail the comparison too
+        if not (self.final_time - self.start_time) / self.dt <= MAX_STEPS:
+            raise ConfigError(f"(t_final - t0) / dt must be a step count of at most "
+                              f"MAX_STEPS = {MAX_STEPS}")
 
     # -- derived pieces ---------------------------------------------------
 
@@ -187,49 +192,49 @@ class StudyConfig:
     # -- serialization ----------------------------------------------------
 
     def canonical_text(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["grid"] = {
-            "dim": str(self.grid_dim),
-            "points": ", ".join(str(p) for p in self.grid_points),
-            "lengths": ", ".join(repr(l) for l in self.grid_lengths),
-            "particles": str(self.particles),
+        sections = {
+            "grid": {
+                "dim": str(self.grid_dim),
+                "points": ", ".join(str(p) for p in self.grid_points),
+                "lengths": ", ".join(repr(l) for l in self.grid_lengths),
+                "particles": str(self.particles),
+            },
+            "field": {
+                "kind": self.envelope_kind,
+                "amplitude": repr(self.amplitude),
+                "polarization": self.polarization,
+                "omega": repr(self.omega),
+                "lambdas": ", ".join(repr(l) for l in self.lambdas),
+            },
+            "potential": {
+                "kind": self.potential_kind,
+                "z": repr(self.potential_z),
+                "eps": repr(self.potential_eps),
+                "depth": repr(self.potential_depth),
+                "width": repr(self.potential_width),
+            },
+            "run": {
+                "preset": self.preset,
+                "t0": "auto" if self.t0 is None else repr(self.t0),
+                "t_final": "auto" if self.t_final is None else repr(self.t_final),
+                "dt": repr(self.dt),
+                "panels": str(self.panels),
+                "initial_state": self.initial_state,
+                "ground_tol": repr(self.ground_tol),
+                "packet_sigma": repr(self.packet_sigma),
+                "packet_center": repr(self.packet_center),
+                "packet_momentum": repr(self.packet_momentum),
+                "krylov_m": str(self.krylov_m),
+                "krylov_tol": repr(self.krylov_tol),
+                "seed": str(self.seed),
+            },
         }
-        cp["field"] = {
-            "kind": self.envelope_kind,
-            "amplitude": repr(self.amplitude),
-            "polarization": self.polarization,
-            "omega": repr(self.omega),
-            "lambdas": ", ".join(repr(l) for l in self.lambdas),
-        }
-        cp["potential"] = {
-            "kind": self.potential_kind,
-            "z": repr(self.potential_z),
-            "eps": repr(self.potential_eps),
-            "depth": repr(self.potential_depth),
-            "width": repr(self.potential_width),
-        }
-        cp["run"] = {
-            "preset": self.preset,
-            "t0": "auto" if self.t0 is None else repr(self.t0),
-            "t_final": "auto" if self.t_final is None else repr(self.t_final),
-            "dt": repr(self.dt),
-            "panels": str(self.panels),
-            "initial_state": self.initial_state,
-            "ground_tol": repr(self.ground_tol),
-            "packet_sigma": repr(self.packet_sigma),
-            "packet_center": repr(self.packet_center),
-            "packet_momentum": repr(self.packet_momentum),
-            "krylov_m": str(self.krylov_m),
-            "krylov_tol": repr(self.krylov_tol),
-            "seed": str(self.seed),
-        }
-        buf = io.StringIO()
+        lines = []
         for name in _SECTION_ORDER:
-            buf.write(f"[{name}]\n")
-            for key in sorted(cp[name]):
-                buf.write(f"{key} = {cp[name][key]}\n")
-            buf.write("\n")
-        return buf.getvalue()
+            lines.append(f"[{name}]")
+            lines.extend(f"{key} = {value}" for key, value in sorted(sections[name].items()))
+            lines.append("")
+        return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]

@@ -197,24 +197,25 @@ def fourier_pair(grid: Grid):
     """(forward, inverse) DFTs over an array's trailing grid.dim axes.
 
     Leading axes are a batch.  One-dimensional grids use np.fft.fft/ifft, which
-    skip the n-d wrapper; other grids use fftn/ifftn with explicit axes.  The
-    transforms are looked up on np.fft at call time, so a patched np.fft
-    attribute sees every call.
+    skip the n-d wrapper; other grids use fftn/ifftn with explicit axes.  Both
+    take ``out=``; passing the input itself transforms in place, bit-identical
+    to the out-of-place result.  The transforms are looked up on np.fft at call
+    time, so a patched np.fft attribute sees every call.
     """
     if grid.dim == 1:
-        def forward(values: np.ndarray) -> np.ndarray:
-            return np.fft.fft(values)
+        def forward(values: np.ndarray, out=None) -> np.ndarray:
+            return np.fft.fft(values, out=out)
 
-        def inverse(values: np.ndarray) -> np.ndarray:
-            return np.fft.ifft(values)
+        def inverse(values: np.ndarray, out=None) -> np.ndarray:
+            return np.fft.ifft(values, out=out)
     else:
         axes = tuple(range(-grid.dim, 0))
 
-        def forward(values: np.ndarray) -> np.ndarray:
-            return np.fft.fftn(values, axes=axes)
+        def forward(values: np.ndarray, out=None) -> np.ndarray:
+            return np.fft.fftn(values, axes=axes, out=out)
 
-        def inverse(values: np.ndarray) -> np.ndarray:
-            return np.fft.ifftn(values, axes=axes)
+        def inverse(values: np.ndarray, out=None) -> np.ndarray:
+            return np.fft.ifftn(values, axes=axes, out=out)
 
     return forward, inverse
 
@@ -234,12 +235,13 @@ def from_momentum(psi_hat: WaveFunction) -> WaveFunction:
 
 
 def spectral_axis_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """d/dx_axis via the Fourier multiplier i*k (raw array in, raw array out)."""
-    vhat = np.fft.fft(values, axis=axis)
-    k = grid.k_axis(axis)
-    shape = [1] * grid.dim
-    shape[axis] = grid.shape[axis]
-    return np.fft.ifft(vhat * (1j * k.reshape(shape)), axis=axis)
+    """d/dx_axis via the Fourier multiplier i*k (raw array in, raw array out).
+
+    The grid occupies the trailing axes, so leading axes are a batch.
+    """
+    vhat = np.fft.fft(values, axis=axis - grid.dim)
+    vhat *= 1j * grid.k_mesh(axis)
+    return np.fft.ifft(vhat, axis=axis - grid.dim, out=vhat)
 
 
 def spectral_gradient(psi: WaveFunction) -> tuple[WaveFunction, ...]:

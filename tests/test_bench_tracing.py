@@ -63,3 +63,30 @@ def test_bounds_probe_runs_through_the_traced_names(tracing):
     names = [rec[tracing.NAME] for rec in tracer.spans]
     assert names.count("bounds.contraction") == 1
     assert names.count("bounds.resolvent") >= 1
+
+
+def test_traced_probe_resolves_once_per_normal_operator_apply(tracing, monkeypatch):
+    # bounds.resolvent_calls in the benchmark counts one resolvent per
+    # Lanczos step of the contraction scan
+    from test_harness import trimmed_config
+    from dipolelab import bounds, harness
+
+    applies = []
+    top_eigenpair = bounds._top_eigenpair
+
+    def counting(apply_fn, *args, **kwargs):
+        def counted(x):
+            applies.append(1)
+            return apply_fn(x)
+        return top_eigenpair(counted, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_top_eigenpair", counting)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        harness.run_bounds_check(trimmed_config())
+    finally:
+        tracer.restore()
+    names = [rec[tracing.NAME] for rec in tracer.spans]
+    assert len(applies) > 0
+    assert names.count("bounds.resolvent") == len(applies)

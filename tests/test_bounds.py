@@ -236,3 +236,110 @@ def test_bounds_suite_reproducible():
     assert payload["seed"] == 33
     table = rep1.format_table()
     assert "alpha" in table and "C_eps" in table.replace("C_eps", "C_eps")
+
+
+# -- batched probe kernels against per-probe reference loops ------------------
+
+
+def pulse_spec_and_grid():
+    env = fields.transverse_envelope("pulse", 0.25, 1)
+    spec = ham.dipole_velocity(fields.ScaledField(env, 10.0, 1.0),
+                               ham.soft_core_coulomb(1.0, 1.0))
+    return spec, spatial.make_grid(1, 512, 80.0)
+
+
+def in_plane_spec_and_grid():
+    # propagation along x, polarization along y: b_y varies with x
+    env = fields.in_plane_envelope("cw", 0.5)
+    spec = ham.full_coupling(fields.ScaledField(env, 8.0, 1.0),
+                             ham.soft_core_coulomb(1.0, 1.0))
+    return spec, spatial.make_grid(2, [16, 8], [8.0, 6.0])
+
+
+BATCH_CASES = {"pulse-1d": pulse_spec_and_grid, "in-plane-16x8": in_plane_spec_and_grid}
+
+
+def reference_relative_bound(w, epsilons, probes):
+    """The per-probe loop: one apply and one transform per probe."""
+    grid = probes[0].grid
+    w_n = np.array([np.linalg.norm(w.apply(p.values).ravel()) ** 2 for p in probes])
+    lap_n = np.array([np.linalg.norm((grid.k_square * np.fft.fftn(p.values)).ravel()) ** 2
+                      / grid.npoints for p in probes])
+    n = np.array([np.linalg.norm(p.values.ravel()) ** 2 for p in probes])
+    return np.array([max(0.0, float(np.max((w_n - e * lap_n) / n))) for e in epsilons])
+
+
+def reference_graph_interval(spec, t, alpha, probes):
+    grid = probes[0].grid
+    fn = ham.hamiltonian_apply_fn(spec, t, grid)
+    scale = np.sqrt(grid.cell_volume)
+    weight = 1.0 + grid.k_square + grid.k_square ** 2
+    ratios = []
+    for p in probes:
+        n = np.linalg.norm(p.values.ravel()) * scale
+        graph = n + np.linalg.norm((fn(p.values) + alpha * p.values).ravel()) * scale
+        total = np.sum(weight * np.abs(np.fft.fftn(p.values)) ** 2)
+        ratios.append(np.sqrt(total * grid.cell_volume / grid.npoints) / graph)
+    return min(ratios), max(ratios)
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+@pytest.mark.parametrize("count", [64, 70])
+def test_batched_relative_bound_matches_per_probe_loop(case, count):
+    spec, g = BATCH_CASES[case]()
+    w = bounds.CouplingOperator.from_spec(spec, 0.3, g)
+    probes = bounds.probe_ensemble(g, count, seed=5)
+    eps = [0.0, 0.01, 0.05, 0.1, 0.5, 1.0]
+    got = bounds.infinitesimal_bound_scan(w, eps, probes)
+    want = reference_relative_bound(w, eps, probes)
+    assert np.all(got > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+@pytest.mark.parametrize("count", [64, 70])
+def test_batched_graph_interval_matches_per_probe_loop(case, count):
+    spec, g = BATCH_CASES[case]()
+    probes = bounds.probe_ensemble(g, count, seed=5)
+    got = bounds.graph_norm_constants(spec, 0.3, 10.0, probes)
+    want = reference_graph_interval(spec, 0.3, 10.0, probes)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_coupling_operator_applies_a_stack_row_by_row():
+    # the x-dependent in-plane drift differentiates along a grid axis, which
+    # sits one place further right in a stack
+    w = list(dense_oracle_operators())[1]
+    stack = np.stack([p.values for p in bounds.probe_ensemble(w.grid, 6, seed=2)])
+    for method in (w.apply, w.adjoint_apply):
+        batched = method(stack)
+        for row, got in zip(stack, batched):
+            np.testing.assert_array_equal(got, method(row))
+
+
+def test_probe_blocks_stay_within_the_point_budget():
+    for shape, lengths in [((512,), (80.0,)), ((16, 8), (8.0, 6.0)), ((128, 128), (80.0, 80.0))]:
+        g = spatial.make_grid(len(shape), list(shape), list(lengths))
+        probes = bounds.probe_ensemble(g, 70, seed=3)
+        blocks = list(bounds.probe_blocks(probes))
+        per_block = max(1, bounds.PROBE_BLOCK_POINTS // g.npoints)
+        assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+        for block in blocks:
+            assert block.shape[1:] == g.shape
+            assert len(block) == 1 or block.size <= bounds.PROBE_BLOCK_POINTS
+        np.testing.assert_array_equal(np.concatenate(blocks),
+                                      np.stack([p.values for p in probes]))
+
+
+def test_resolvent_power_two_is_two_applications():
+    spec, g = in_plane_spec_and_grid()
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+    for alpha in (0.5, 10.0):
+        twice = bounds.resolvent_apply(bounds.resolvent_apply(x, g, alpha), g, alpha)
+        once = bounds.resolvent_apply(x, g, alpha, power=2)
+        assert np.max(np.abs(once - twice)) <= 1e-14 * np.max(np.abs(twice))
+    # the input is left as it was
+    y = x.copy()
+    bounds.resolvent_apply(y, g, 1.0, power=2)
+    np.testing.assert_array_equal(x, y)

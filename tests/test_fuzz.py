@@ -98,11 +98,14 @@ def test_fuzz_field_check_cli(changes):
 
 
 # t_final 1e308 made the step count (t_final - t0) / dt infinite, and evolve
-# leaked an OverflowError from int(round(inf)).
+# leaked an OverflowError from int(round(inf)); dt 1.6e-74 and t_final 1e154
+# gave finite step counts that would have run practically forever.
 @pytest.mark.parametrize("command", ["sweep", "cook", "gauge-check"])
 @FUZZ
 @given(changes=edits)
 @example(changes=[(("run", "t_final"), "1e308")])
+@example(changes=[(("run", "dt"), "1.6e-74")])
+@example(changes=[(("run", "t_final"), "1e154")])
 def test_fuzz_study_cli(command, changes):
     check_cli(command, changes)
 

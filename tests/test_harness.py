@@ -66,10 +66,92 @@ def test_config_validation():
     ("lambdas", (20.0, float("inf"))), ("seed", -1),
     ("lambdas", ()), ("lambdas", (5e-324,)), ("amplitude", float("nan")),
     ("amplitude", 1e308), ("amplitude", 1e154), ("t_final", 1e308),
+    ("dt", 1.6e-74), ("t_final", 1e154),
 ])
 def test_config_domain_checks(field, value):
     with pytest.raises(ConfigError):
         trimmed_config(**{field: value})
+
+
+def test_step_count_cap():
+    # the cap sits far above every preset and rejects nothing below it
+    assert harness.MAX_STEPS == 2 ** 20
+    for name in harness.PRESETS:
+        cfg = harness.preset_config(name)
+        assert (cfg.final_time - cfg.start_time) / cfg.dt <= 1280 + 1e-6
+    dt = np.pi / 512
+    trimmed_config(t0=dt, t_final=dt + harness.MAX_STEPS * dt)
+    with pytest.raises(ConfigError, match="MAX_STEPS"):
+        trimmed_config(t0=dt, t_final=dt + 2 * harness.MAX_STEPS * dt)
+
+
+def configparser_canonical_text(cfg):
+    """canonical_text as it was first built, through a ConfigParser."""
+    cp = configparser.ConfigParser()
+    cp["grid"] = {
+        "dim": str(cfg.grid_dim),
+        "points": ", ".join(str(p) for p in cfg.grid_points),
+        "lengths": ", ".join(repr(l) for l in cfg.grid_lengths),
+        "particles": str(cfg.particles),
+    }
+    cp["field"] = {
+        "kind": cfg.envelope_kind, "amplitude": repr(cfg.amplitude),
+        "polarization": cfg.polarization, "omega": repr(cfg.omega),
+        "lambdas": ", ".join(repr(l) for l in cfg.lambdas),
+    }
+    cp["potential"] = {
+        "kind": cfg.potential_kind, "z": repr(cfg.potential_z),
+        "eps": repr(cfg.potential_eps), "depth": repr(cfg.potential_depth),
+        "width": repr(cfg.potential_width),
+    }
+    cp["run"] = {
+        "preset": cfg.preset,
+        "t0": "auto" if cfg.t0 is None else repr(cfg.t0),
+        "t_final": "auto" if cfg.t_final is None else repr(cfg.t_final),
+        "dt": repr(cfg.dt), "panels": str(cfg.panels),
+        "initial_state": cfg.initial_state, "ground_tol": repr(cfg.ground_tol),
+        "packet_sigma": repr(cfg.packet_sigma), "packet_center": repr(cfg.packet_center),
+        "packet_momentum": repr(cfg.packet_momentum), "krylov_m": str(cfg.krylov_m),
+        "krylov_tol": repr(cfg.krylov_tol), "seed": str(cfg.seed),
+    }
+    buf = []
+    for name in ("grid", "field", "potential", "run"):
+        buf.append(f"[{name}]\n")
+        for key in sorted(cp[name]):
+            buf.append(f"{key} = {cp[name][key]}\n")
+        buf.append("\n")
+    return "".join(buf)
+
+
+def test_canonical_text_matches_the_configparser_construction(tmp_path):
+    # the text feeds the config hash and so the output directory
+    configs = [harness.preset_config(name) for name in harness.PRESETS]
+    configs += [trimmed_config(), trimmed_config(t0=0.5, t_final=2.5, seed=0,
+                                                 initial_state="packet")]
+    for cfg in configs:
+        text = cfg.canonical_text()
+        assert text == configparser_canonical_text(cfg)
+        path = tmp_path / "round.ini"
+        cfg.write_ini(path)
+        back = harness.StudyConfig.from_ini(path)
+        assert back.canonical_text() == text
+        assert configparser_canonical_text(back) == text
+    assert harness.preset_config("cw-1d").config_hash() == "4d73bdcd73acc39f"
+    assert harness.preset_config("pulse-1d").config_hash() == "11dde640fc63f3f7"
+    assert harness.preset_config("two-body-1d").config_hash() == "3d79045a7490c082"
+
+
+def test_cli_percent_in_a_string_field(tmp_path, capsys):
+    # the canonical text once went through a ConfigParser, whose interpolation
+    # check leaked a ValueError traceback for a literal '%'
+    ini = tmp_path / "study.ini"
+    trimmed_config().write_ini(ini)
+    ini.write_text(ini.read_text().replace("preset = custom", "preset = a%%b"))
+    out = tmp_path / "out"
+    assert cli.main(["field-check", "--config", str(ini), "--out", str(out)]) == 0
+    payload = json.loads((out / "field_check.json").read_text())
+    assert payload["config_hash"] == trimmed_config(preset="a%b").config_hash()
+    assert capsys.readouterr().err == ""
 
 
 def test_preset_configs_are_valid():
@@ -221,9 +303,9 @@ def test_cli_malformed_ini(tmp_path, capsys, text):
 @pytest.mark.parametrize("section, key, value", [
     ("field", "omega", "0"), ("run", "dt", "nan"), ("run", "panels", "0"),
     ("run", "krylov_m", "100"), ("field", "amplitude", "1e308"),
-    ("run", "t_final", "1e308"),
+    ("run", "t_final", "1e308"), ("run", "dt", "1.6e-74"), ("run", "t_final", "1e154"),
 ], ids=["omega-zero", "dt-nan", "panels-zero", "krylov-m-100", "amplitude-1e308",
-        "t-final-1e308"])
+        "t-final-1e308", "dt-1.6e-74", "t-final-1e154"])
 def test_cli_config_hole_fails_before_compute(tmp_path, capsys, monkeypatch,
                                               command, section, key, value):
     def no_compute(*args, **kwargs):

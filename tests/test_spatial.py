@@ -250,6 +250,21 @@ def test_fourier_pair_transforms_a_batch_row_by_row(dim, points):
         np.testing.assert_array_equal(i_row, np.fft.ifftn(row))
 
 
+@pytest.mark.parametrize("dim,points,batch", [(1, 512, ()), (1, 32, (5,)), (2, 16, ()),
+                                              (2, 8, (3,))])
+def test_fourier_pair_in_place_is_bit_identical(dim, points, batch):
+    g = spatial.make_grid(dim, points, 10.0)
+    forward, inverse = spatial.fourier_pair(g)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(batch + g.shape) + 1j * rng.standard_normal(batch + g.shape)
+    for transform in (forward, inverse):
+        want = transform(x)
+        work = x.copy()
+        got = transform(work, out=work)
+        assert got is work
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("points,length", [(0, 1.0), (8, -1.0), (8, float("nan"))])
 def test_snapshot_bad_grid(tmp_path, points, length):
     path = tmp_path / "grid.dplw"
