@@ -19,7 +19,7 @@ probe ensembles:
     and the graph norm ||psi|| + ||(H + alpha) psi||.
 
 The probe kernels work on stacked probe blocks (probe axis leading) of at
-most PROBE_BLOCK_POINTS grid points: 16 probes of a 512-point grid, one
+most PROBE_BLOCK_POINTS grid points: 8 probes of a 512-point grid, one
 probe of a 128^2 grid.  The estimates are grid-dependent; reports carry the
 grid and seed so numbers are reproducible bit-for-bit and never
 extrapolated to the continuum.
@@ -44,9 +44,10 @@ from .spatial import Grid, WaveFunction, fourier_pair, spectral_axis_derivative
 # relative residual at which the top Ritz value q(alpha)^2 is accepted
 RITZ_RTOL = 1e-8
 
-# grid points per stacked probe block (128 KiB of complex values), so a block
-# stays cache-sized and a probe child's peak memory stays below a study's
-PROBE_BLOCK_POINTS = 8192
+# grid points per stacked probe block (64 KiB of complex values), so a block
+# stays cache-sized and below glibc's 128 KiB mmap threshold: 8192-point
+# blocks raised a pulse-1d probe process's peak memory above a study's
+PROBE_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +105,16 @@ class CouplingOperator:
 
 def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
                     power: int = 1) -> np.ndarray:
-    """(-Lap + alpha)^-power, diagonal in momentum space; leading axes are a batch."""
+    """(-Lap + alpha)^-power, diagonal in momentum space; leading axes are a batch.
+
+    power=2 serves the contraction scan's normal operator W R^2 W^dag: one
+    transform pair where two resolvents would take two.
+    """
     if alpha <= 0:
         raise ConfigError("resolvent shift must be positive")
     forward, inverse = fourier_pair(grid)
-    symbol = grid.k_square + alpha
     vhat = forward(values)
-    for _ in range(power):
-        vhat /= symbol
+    vhat /= (grid.k_square + alpha) ** power
     return inverse(vhat, out=vhat)
 
 
@@ -159,16 +162,11 @@ def probe_blocks(probes: Sequence[WaveFunction]):
     """Probe values stacked with the probe axis leading, in order.
 
     A block holds at most PROBE_BLOCK_POINTS grid points, or one probe when
-    a single probe is larger; a one-probe block is a view of its values, so
-    the kernels only read their blocks.
+    a single probe is larger.
     """
     per_block = max(1, PROBE_BLOCK_POINTS // probes[0].grid.npoints)
     for i in range(0, len(probes), per_block):
-        chunk = probes[i:i + per_block]
-        if len(chunk) == 1:
-            yield chunk[0].values[np.newaxis]
-        else:
-            yield np.stack([p.values for p in chunk])
+        yield np.stack([p.values for p in probes[i:i + per_block]])
 
 
 def _squared_norms(block: np.ndarray) -> np.ndarray:

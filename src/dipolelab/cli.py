@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import replace
@@ -19,9 +18,7 @@ from .harness import (PRESETS, StudyConfig, preset_config, run_bounds_check,
                       run_field_check, run_gauge_check, run_study)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="dipolelab",
         description="Convergence sweeps, gauge checks, and error certificates "

@@ -327,6 +327,9 @@ def check_divergence_free(env: LaserEnvelope, grid, times=(0.0, 0.9),
     for t in times:
         div = np.zeros(grid.shape)
         for axis, b in coupling_arrays(fld, t, grid)[0]:
+            # b may only broadcast against the grid (in-plane b is (nx, 1));
+            # the derivative needs every point along its axis
+            b = np.broadcast_to(b, grid.shape)
             div = div + spectral_axis_derivative(b, grid, axis).real
         max_defect = max(max_defect, float(np.max(np.abs(div))))
     warning = "" if commensurate else "grid not commensurate with envelope period"

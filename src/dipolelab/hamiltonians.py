@@ -219,13 +219,8 @@ def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
                 grads.append((2j * b, 1j * grid.k_mesh(axis)))
 
     def apply(values: np.ndarray) -> np.ndarray:
-        # one fresh output, transformed in place; vhat is reused when no
-        # gradient term needs it.  two_ib * F^-1(...) stays one expression:
-        # from 256 KiB up numpy evaluates it in the temporary as F^-1(...) *
-        # two_ib, and complex products are not bitwise commutative under FMA
         vhat = forward(values)
-        out = np.multiply(sym, vhat, out=None if grads else vhat)
-        inverse(out, out=out)
+        out = inverse(sym * vhat)
         out += v_eff * values
         for two_ib, ik in grads:
             out += two_ib * inverse(vhat * ik)

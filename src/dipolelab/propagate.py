@@ -98,16 +98,6 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
     k_sq = grid.k_square
     forward, inverse = fourier_pair(grid)
 
-    def strang(half_v: np.ndarray, kin: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # half_v * F^-1(kin * F(half_v * values)), the inverse transform in
-        # place.  kin * F(...) stays one expression: from 256 KiB up numpy
-        # evaluates it in the transform's temporary as F(...) * kin, and
-        # complex products are not bitwise commutative under FMA
-        out = kin * forward(half_v * values)
-        inverse(out, out=out)
-        out *= half_v
-        return out
-
     if spec.kind == DIPOLE_VELOCITY:
         half_v = np.exp(-0.5j * dt * v)
 
@@ -118,7 +108,9 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
             for axis, b in b_axes:
                 sym = sym - 2.0 * b * grid.k_mesh(axis)
             kin = np.exp(-1j * dt * sym)
-            return strang(half_v, kin, values)
+            out = inverse(kin * forward(half_v * values))
+            out *= half_v
+            return out
 
         return step
 
@@ -127,7 +119,9 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
     def step_length(values: np.ndarray, t_mid: float) -> np.ndarray:
         v_eff = v + length_gauge_term(spec.field, t_mid, grid)
         half_v = np.exp(-0.5j * dt * v_eff)
-        return strang(half_v, kin, values)
+        out = inverse(kin * forward(half_v * values))
+        out *= half_v
+        return out
 
     return step_length
 
@@ -337,9 +331,7 @@ def _field_free_apply(potential, grid: Grid) -> Callable[[np.ndarray], np.ndarra
     forward, inverse = fourier_pair(grid)
 
     def apply(values: np.ndarray) -> np.ndarray:
-        out = forward(values)
-        np.multiply(k_sq, out, out=out)
-        inverse(out, out=out)
+        out = inverse(k_sq * forward(values))
         out += v * values
         return out
 

@@ -267,6 +267,20 @@ def test_field_check_report():
         -np.sqrt(np.pi) * np.exp(-0.25) * 0.25, abs=1e-10)
 
 
+def test_cli_field_check_in_plane_2d(tmp_path, capsys):
+    # in-plane b_y(x) is stored as an (nx, 1) array and differentiated along
+    # y, the axis it only broadcasts over
+    cfg = trimmed_config(grid_dim=2, grid_points=(64, 64), grid_lengths=(32.0, 32.0),
+                         polarization="in_plane", amplitude=0.5, lambdas=(16.0,))
+    ini = tmp_path / "study.ini"
+    cfg.write_ini(ini)
+    out = tmp_path / "out"
+    assert cli.main(["field-check", "--config", str(ini), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((out / "field_check.json").read_text())
+    assert payload["divergence_defect"] <= 1e-10
+
+
 def test_bounds_check_runs():
     rep = harness.run_bounds_check(trimmed_config())
     assert all(rep.q_values[i] >= rep.q_values[i + 1]
