@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -18,7 +19,9 @@ from .harness import (PRESETS, StudyConfig, preset_config, run_bounds_check,
                       run_field_check, run_gauge_check, run_study)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dipolelab",
         description="Convergence sweeps, gauge checks, and error certificates "

@@ -232,7 +232,9 @@ class StudyConfig:
         lines = []
         for name in _SECTION_ORDER:
             lines.append(f"[{name}]")
-            lines.extend(f"{key} = {value}" for key, value in sorted(sections[name].items()))
+            # from_ini reads through ConfigParser interpolation, which reads %% as %
+            lines.extend(f"{key} = {value.replace('%', '%%')}"
+                         for key, value in sorted(sections[name].items()))
             lines.append("")
         return "\n".join(lines) + "\n"
 

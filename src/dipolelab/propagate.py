@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.blas import dznrm2, zgemv
-from scipy.linalg.lapack import dstev
 
 from .errors import ConfigError, NumericalError
 from .fields import coupling_arrays
@@ -133,18 +130,18 @@ def step_split(spec: HamiltonianSpec, psi: WaveFunction, t: float,
     return WaveFunction(psi.grid, stepper(psi.values, t + 0.5 * dt))
 
 
-def _lanczos(apply_fn, v0: np.ndarray, m: int):
+def _lanczos(apply_fn, v0: np.ndarray, m: int, local: bool = False):
     """Lanczos tridiagonalisation of apply_fn on the Krylov space of the unit vector v0.
 
     Yields (V, alphas, betas, b) after each new basis vector: the basis rows
     V, the tridiagonal T = tridiag(betas, alphas, betas) and the norm b of the
-    next residual.  The basis is preallocated as (m, N), and each residual is
+    next residual.  The basis is preallocated as (m, N).  Each residual is
     re-orthogonalised against the whole basis by block classical Gram-Schmidt,
-    applied twice.  Both passes are BLAS zgemv calls on V[:j+1].T, a
-    Fortran-ordered view of the basis: trans=2 forms the coefficients
-    h = conj(V) w, and beta=1 subtracts V^T h from w in place.  At most m
-    vectors are built; the caller stops early by leaving the loop.
-    apply_fn must return a new array, not a view of its argument.
+    applied twice.  With local=True it is orthogonalised once, against the
+    previous two vectors only (the plain three-term recurrence), which is
+    enough for the few vectors of a Krylov step.  At most m vectors are built;
+    the caller stops early by leaving the loop.  apply_fn must return a new
+    array, not a view of its argument.
     """
     shape = v0.shape
     V = np.empty((m, v0.size), dtype=complex)
@@ -153,14 +150,13 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int):
     betas = np.empty(m - 1)
     for j in range(m):
         w = apply_fn(V[j].reshape(shape)).ravel()
-        basis = V[:j + 1].T
-        h = zgemv(1.0, basis, w, trans=2)
-        alphas[j] = h[j].real
-        # zgemv copies y when it cannot write into w; its return value is the result
-        w = zgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
-        w = zgemv(-1.0, basis, zgemv(1.0, basis, w, trans=2), beta=1.0, y=w,
-                  overwrite_y=1)
-        b = dznrm2(w)
+        basis = V[max(j - 1, 0) if local else 0:j + 1]
+        h = np.vecdot(basis, w)
+        alphas[j] = h[-1].real
+        w -= h @ basis
+        if not local:
+            w -= np.vecdot(basis, w) @ basis
+        b = np.sqrt(np.vdot(w, w).real)
         yield V[:j + 1], alphas[:j + 1], betas[:j], b
         if j + 1 < m:
             betas[j] = b
@@ -168,13 +164,16 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int):
 
 
 def _tridiagonal_eigh(alphas: np.ndarray, betas: np.ndarray):
-    """Eigenvalues and eigenvectors of tridiag(betas, alphas, betas) via LAPACK dstev."""
-    if alphas.size == 1:
-        return alphas.copy(), np.ones((1, 1))
-    lam, q, info = dstev(alphas, betas)
-    if info != 0:
-        raise NumericalError(f"tridiagonal eigensolver failed (LAPACK dstev info {info})")
-    return lam, q
+    """Ascending eigenvalues and eigenvectors of tridiag(betas, alphas, betas)."""
+    n = alphas.size
+    t = np.diag(alphas)
+    t.flat[n::n + 1] = betas   # the subdiagonal: eigh reads the lower triangle
+    if not np.isfinite(t).all():
+        raise NumericalError("tridiagonal eigensolver got non-finite Lanczos coefficients")
+    try:
+        return np.linalg.eigh(t, UPLO="L")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
 def _top_eigenpair(apply_fn, v0: np.ndarray, what: str, atol: float = 0.0,
@@ -209,18 +208,28 @@ def _lanczos_expm(apply_fn, values: np.ndarray, dt: float, m: int, tol: float):
     """exp(-i dt H) values from a Lanczos subspace of at most m vectors.
 
     Returns (new_values | None, residual_estimate).  None signals that the
-    subspace budget m was exhausted before the residual estimate dropped
-    below tol.
+    subspace budget m was exhausted before the residual estimate
+    |dt| b |u_last| (Saad 1992) dropped below tol.  That estimate needs a small
+    eigensolve, so it is formed only once its leading Taylor term
+    |dt|^(j+1) beta_0...beta_j / j! reaches tol, at breakdown, and at the
+    last vector: a skipped check can only add a vector, never accept a worse
+    step.
     """
-    beta0 = dznrm2(values.ravel())
+    beta0 = np.sqrt(np.vdot(values, values).real)
     if beta0 == 0.0:
         return values.copy(), 0.0
-    for V, alphas, betas, b in _lanczos(apply_fn, values / beta0, m):
-        lam, q = _tridiagonal_eigh(alphas, betas)
-        u = q @ (np.exp(-1j * dt * lam) * q[0, :])
-        est = abs(dt) * b * abs(u[-1])
-        if est <= tol or b <= 1e-14 * beta0:
-            return zgemv(beta0, V.T, u).reshape(values.shape), est
+    breakdown = 1e-14 * beta0
+    lead = 1.0
+    for V, alphas, betas, b in _lanczos(apply_fn, values / beta0, m, local=True):
+        j = alphas.size - 1
+        lead *= abs(dt) * b / max(j, 1)
+        # `not lead > tol` also holds for a NaN residual, which the eigensolver rejects
+        if not lead > tol or b <= breakdown or j + 1 == m:
+            lam, q = _tridiagonal_eigh(alphas, betas)
+            u = q @ (np.exp(-1j * dt * lam) * q[0, :])
+            est = abs(dt) * b * abs(u[-1])
+            if est <= tol or b <= breakdown:
+                return ((beta0 * u) @ V).reshape(values.shape), est
     return None, est
 
 
@@ -308,9 +317,7 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig) -> 
     for j in range(nsteps):
         t_mid = config.t0 + (j + 0.5) * config.dt
         values = stepper(values, t_mid)
-        # SciPy's dznrm2, not np.linalg.norm: numpy links a second OpenBLAS, and
-        # waking both thread pools in one loop oversubscribes the cores
-        cur_norm = dznrm2(values.ravel()) * sqrt_vol
+        cur_norm = np.sqrt(np.vdot(values, values).real) * sqrt_vol
         if not np.isfinite(cur_norm):
             raise NumericalError(f"state became non-finite at step {j}")
         drift = abs(cur_norm - prev_norm)
@@ -404,6 +411,6 @@ def dense_oracle_evolve(spec: HamiltonianSpec, psi0: WaveFunction, t0: float,
         t_mid = t0 + (j + 0.5) * dt
         h = dense_hamiltonian(spec, t_mid, grid, cap=DENSE_ORACLE_CAP)
         h = 0.5 * (h + h.conj().T)
-        lam, q = eigh(h)
+        lam, q = np.linalg.eigh(h)
         values = q @ (np.exp(-1j * dt * lam) * (q.conj().T @ values))
     return WaveFunction(grid, values.reshape(grid.shape))

@@ -1,9 +1,11 @@
 """Run the suite with single-threaded BLAS and OpenMP pools.
 
-OpenBLAS reads its thread count once, when numpy or scipy loads it, and this
-file is imported before any test module loads numpy.  On small states the
-threaded pools cost more than they save (the Krylov step's Gram-Schmidt on a
-few basis vectors among them).  An explicit setting in the environment wins.
+OpenBLAS reads its thread count once, when numpy loads it, and this file is
+imported before any test module loads numpy.  The program itself uses numpy's
+one OpenBLAS pool; scipy, which the tests import as an oracle, links its own.
+On small states the threaded pools cost more than they save (the Krylov step's
+Gram-Schmidt on a few basis vectors among them).  An explicit setting in the
+environment wins.
 """
 
 import os

@@ -23,13 +23,18 @@ def trimmed_config(**overrides):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = trimmed_config()
+    # a manifest's config_ini must re-run, so write_ini -> from_ini is the identity,
+    # a '%' in a string field included
+    configs = [harness.preset_config(name) for name in harness.PRESETS]
+    configs += [trimmed_config(), trimmed_config(preset="a%b"),
+                trimmed_config(preset="%%(x)s%")]
     path = tmp_path / "study.ini"
-    cfg.write_ini(path)
-    back = harness.StudyConfig.from_ini(path)
-    assert back.canonical_text() == cfg.canonical_text()
-    assert back.config_hash() == cfg.config_hash()
-    assert back.lambdas == cfg.lambdas
+    for cfg in configs:
+        cfg.write_ini(path)
+        back = harness.StudyConfig.from_ini(path)
+        assert back == cfg
+        assert back.canonical_text() == cfg.canonical_text()
+        assert back.config_hash() == cfg.config_hash()
 
 
 def test_config_missing_file():
@@ -341,6 +346,26 @@ def test_cli_config_hole_fails_before_compute(tmp_path, capsys, monkeypatch,
 
 def test_cli_unknown_subcommand():
     assert cli.main(["transmogrify"]) == 1
+
+
+def test_cli_calls_in_one_process_parse_independently(tmp_path):
+    # the parser is built once per process and shared by every main() call
+    assert cli.build_parser() is cli.build_parser()
+    ini = tmp_path / "study.ini"
+    trimmed_config().write_ini(ini)
+    out = tmp_path / "out"
+
+    def field_check(*flags):
+        argv = ["field-check", "--config", str(ini), "--out", str(out), *flags]
+        assert cli.main(argv) == 0
+        return json.loads((out / "field_check.json").read_text())["config_hash"]
+
+    assert field_check("--seed", "5") == trimmed_config(seed=5).config_hash()
+    assert cli.main(["preset", "cw-9d"]) == 1
+    assert field_check() == trimmed_config().config_hash()
+    args = cli.build_parser().parse_args(["preset", "cw-1d"])
+    assert (args.command, args.name, args.seed, args.threads) == ("preset", "cw-1d", None, 1)
+    assert not hasattr(args, "config")
 
 
 def test_cli_sweep_and_reports(tmp_path, capsys):

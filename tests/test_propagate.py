@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh, expm
 
-from dipolelab import fields, hamiltonians as ham, propagate as prop, spatial
+from dipolelab import fields, hamiltonians as ham, harness, propagate as prop, spatial
 from dipolelab.bounds import probe_ensemble
 from dipolelab.errors import ConfigError, NumericalError
 
@@ -372,6 +372,97 @@ def test_lanczos_expm_returns_none_when_m_is_too_small():
     assert out is None and est > 1e-10
 
 
+def _expm_estimate_at_every_vector(apply_fn, values, dt, m, tol):
+    """_lanczos_expm with its residual estimate formed after every vector."""
+    beta0 = np.sqrt(np.vdot(values, values).real)
+    for V, alphas, betas, b in prop._lanczos(apply_fn, values / beta0, m, local=True):
+        lam, q = prop._tridiagonal_eigh(alphas, betas)
+        u = q @ (np.exp(-1j * dt * lam) * q[0, :])
+        if abs(dt) * b * abs(u[-1]) <= tol or b <= 1e-14 * beta0:
+            return ((beta0 * u) @ V).reshape(values.shape)
+    return None
+
+
+@pytest.mark.parametrize("preset", ["pulse-1d", "two-body-1d"])
+def test_lanczos_expm_gate_stops_where_the_estimate_at_every_vector_does(preset,
+                                                                        monkeypatch):
+    # _lanczos_expm forms its estimate only once the leading Taylor term is
+    # below tol; on the presets' full generators it must still stop at the
+    # same vector, with the same output, while solving fewer eigenproblems
+    cfg = harness.preset_config(preset)
+    grid = cfg.build_grid()
+    psi0, _ = cfg.build_initial_state(grid)
+    env, potential = cfg.build_envelope(), cfg.build_potential()
+    solves = {"gated": 0, "every": 0}
+    calls = {"gated": 0, "every": 0}
+    side = []
+    tridiagonal_eigh = prop._tridiagonal_eigh
+
+    def counted_eigh(alphas, betas):
+        solves[side[-1]] += 1
+        return tridiagonal_eigh(alphas, betas)
+
+    monkeypatch.setattr(prop, "_tridiagonal_eigh", counted_eigh)
+    span = cfg.final_time - cfg.start_time
+    for lam in (cfg.lambdas[0], cfg.lambdas[-1]):
+        spec = ham.full_coupling(fields.ScaledField(env, lam, cfg.omega), potential)
+        for frac in (0.1, 0.5, 0.8):
+            fn = ham.hamiltonian_apply_fn(spec, cfg.start_time + frac * span, grid)
+
+            def apply(x):
+                calls[side[-1]] += 1
+                return fn(x)
+
+            side.append("gated")
+            out, est = prop._lanczos_expm(apply, psi0.values, cfg.dt, cfg.krylov_m,
+                                          cfg.krylov_tol)
+            side.append("every")
+            ref = _expm_estimate_at_every_vector(apply, psi0.values, cfg.dt,
+                                                 cfg.krylov_m, cfg.krylov_tol)
+            assert calls["gated"] == calls["every"]
+            assert est <= cfg.krylov_tol
+            np.testing.assert_array_equal(out, ref)
+    assert solves["gated"] < solves["every"]
+
+
+def test_krylov_local_recurrence_matches_dense_expm(monkeypatch):
+    # the Krylov step orthogonalises against the previous two vectors only;
+    # its long subspaces and a halved step must still match the dense exponential
+    g = spatial.make_grid(1, 64, 20.0)
+    env = fields.transverse_envelope("pulse", 0.5, 1)
+    spec = ham.full_coupling(fields.ScaledField(env, fields.snap_lambda(20.0, 2), 1.0),
+                             ham.soft_core_coulomb(1.0, 1.0))
+    psi = probe_ensemble(g, 1, seed=3)[0].values
+    t, tol = 0.3, 1e-13
+
+    def dense_step(values, t_mid, dt):
+        h = prop.dense_hamiltonian(spec, t_mid, g)
+        return expm(-1j * dt * 0.5 * (h + h.conj().T)) @ values
+
+    for dt in (0.01, 0.05, 0.1):
+        fn = ham.hamiltonian_apply_fn(spec, t + 0.5 * dt, g)
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return fn(x)
+
+        out, _ = prop._lanczos_expm(apply, psi, dt, 24, tol)
+        np.testing.assert_allclose(out, dense_step(psi, t + 0.5 * dt, dt),
+                                   rtol=0, atol=1e-12)
+    assert len(calls) >= 12
+
+    builds = []
+    build = prop.hamiltonian_apply_fn
+    monkeypatch.setattr(prop, "hamiltonian_apply_fn",
+                        lambda *a: (builds.append(a[1]), build(*a))[1])
+    dt = 0.3   # 24 vectors do not reach tol, so the step is taken as two halves
+    out = prop._krylov_step_values(spec, g, psi, t, dt, 24, tol)
+    assert builds == [t + 0.5 * dt, t + 0.25 * dt, t + 0.75 * dt]
+    ref = dense_step(dense_step(psi, t + 0.25 * dt, 0.5 * dt), t + 0.75 * dt, 0.5 * dt)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
 def test_top_eigenpair_of_minus_h_matches_eigh():
     h = _random_hermitian(20, 26)
     w, q = eigh(h)
@@ -388,7 +479,7 @@ def test_tridiagonal_eigh_size_one_agreement_and_failure():
     t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     np.testing.assert_allclose(lam, np.linalg.eigvalsh(t), rtol=0, atol=1e-13)
     np.testing.assert_allclose(t @ q, q * lam, rtol=0, atol=1e-13)
-    with pytest.raises(NumericalError, match="dstev"):
+    with pytest.raises(NumericalError, match="non-finite"):
         prop._tridiagonal_eigh(np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0]))
 
 
