@@ -217,15 +217,6 @@ def _sobolev_norms(block: np.ndarray, grid: Grid, weight: np.ndarray) -> np.ndar
     return np.sqrt(dens @ weight * grid.cell_volume / grid.npoints)
 
 
-def sobolev_norm(psi: WaveFunction) -> float:
-    """(1 + k^2 + k^4)^(1/2)-weighted momentum norm (discrete W^{2,2}).
-
-    With unit weight this reduces to the plain L2 norm (Parseval).
-    """
-    return float(_sobolev_norms(psi.values[np.newaxis], psi.grid,
-                                _sobolev_weight(psi.grid))[0])
-
-
 def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
                          probes: Sequence[WaveFunction]):
     """[min, max] over probes of ||psi||_{W^{2,2}} / (||psi|| + ||(H+alpha) psi||)."""

@@ -47,14 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> StudyConfig:
-    if args.config is None:
+    if args.command == "preset":
+        config = preset_config(args.name)
+    elif args.config is None:
         raise ConfigError("missing --config <path>")
-    config = StudyConfig.from_ini(args.config)
+    else:
+        config = StudyConfig.from_ini(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
-    return config
+    return replace(config, threads=args.threads)
 
 
 def _emit(payload: dict, outdir: str, name: str) -> None:
@@ -76,10 +77,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         if args.command == "preset":
-            target = run_study(replace(
-                preset_config(args.name),
-                seed=preset_config(args.name).seed if args.seed is None else args.seed,
-                threads=args.threads), args.out)
+            target = run_study(_load_config(args), args.out)
             print(f"preset {args.name} artifacts in {target}")
             return 0
 

@@ -28,7 +28,7 @@ from .fields import ScaledField, coupling_arrays
 from .fields import profile_value  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .hamiltonians import HamiltonianSpec
 from .propagate import SPLIT, StepperConfig, evolve
-from .spatial import WaveFunction, spectral_gradient
+from .spatial import WaveFunction, spectral_axis_derivative
 
 QUAD_SELF_TOL = 0.01
 
@@ -76,10 +76,9 @@ def cook_integrand(fld: ScaledField, s: float, psi: WaveFunction) -> float:
     scale = np.sqrt(grid.cell_volume)
     total = 0.0
     if b_axes:
-        grads = spectral_gradient(psi)
         acc = np.zeros(grid.shape, dtype=complex)
         for (axis, b), (_, b0) in zip(b_axes, b0_axes):
-            acc = acc + (b - b0) * grads[axis].values
+            acc = acc + (b - b0) * spectral_axis_derivative(psi.values, grid, axis)
         total += 2.0 * float(np.linalg.norm(acc.ravel())) * scale
     sq_term = (b_sq - b0_sq) * psi.values
     total += float(np.linalg.norm(sq_term.ravel())) * scale

@@ -11,8 +11,8 @@ built lazily once per process in numpy, and is constant outside the window.
 A ``ScaledField`` realizes the physical coupling at wavelength
 ``lam`` and angular frequency ``omega``: the vector potential divided by the
 speed of light is (1/omega) * a(r/lam, omega*t), so the speed of light never
-appears as an independent parameter (c_derived = omega*lam/(2*pi) is reporting
-metadata only).
+appears as an independent parameter: c = omega*lam/(2*pi) is implied by
+(lam, omega) and is no input.
 
 Geometry convention: propagation and polarization vectors live in a "field
 space" whose dimension may exceed the simulation grid's.  Grid coordinates
@@ -232,14 +232,6 @@ def eval_envelope(env: LaserEnvelope, x, t: float) -> np.ndarray:
     return env.amplitude * np.multiply.outer(f, env.eps_hat)
 
 
-def eval_envelope_dt(env: LaserEnvelope, x, t: float, order: int = 1) -> np.ndarray:
-    """Analytic time derivative of the envelope, order 1 or 2."""
-    u = ray_coordinate(env, x, t)
-    sign = -1.0 if order == 1 else 1.0
-    f = profile_derivative(env.kind, u, order)
-    return sign * env.amplitude * np.multiply.outer(f, env.eps_hat)
-
-
 @dataclass(frozen=True, eq=False)
 class ScaledField:
     """An envelope realized at wavelength lam and angular frequency omega.
@@ -255,11 +247,6 @@ class ScaledField:
     def __post_init__(self):
         if not (self.lam > 0.0 and self.omega > 0.0):
             raise ConfigError("lam and omega must be positive")
-
-    @property
-    def c_derived(self) -> float:
-        """Speed of light implied by (lam, omega); reporting metadata only."""
-        return self.omega * self.lam / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

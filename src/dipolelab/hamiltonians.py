@@ -41,6 +41,9 @@ GAUSSIAN_WELL = "gaussian_well"
 NBODY_SOFT_CORE = "nbody_soft_core"
 ZERO_POTENTIAL = "zero"
 
+HERMITICITY_PROBES = 8
+HERMITICITY_SEED = 7041
+
 
 @dataclass(frozen=True)
 class PotentialModel:
@@ -229,30 +232,17 @@ def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
     return apply
 
 
-def apply_hamiltonian(spec: HamiltonianSpec, t: float, psi: WaveFunction) -> WaveFunction:
-    """H(t) psi on psi's grid."""
-    if psi.space != "position":
-        raise ConfigError("apply_hamiltonian expects a position-space state")
-    fn = hamiltonian_apply_fn(spec, t, psi.grid)
-    return WaveFunction(psi.grid, fn(psi.values))
+def hermiticity_defect(spec: HamiltonianSpec, t: float, grid: Grid) -> float:
+    """max |<phi, H psi> - <H phi, psi>| over HERMITICITY_PROBES fixed random states.
 
-
-def random_probes(grid: Grid, count: int, seed: int) -> list[WaveFunction]:
-    """Normalized complex Gaussian noise states (deterministic per seed)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
+    The probes are normalized complex Gaussian noise, deterministic per grid.
+    """
+    rng = np.random.default_rng(HERMITICITY_SEED)
+    probes = []
+    for _ in range(HERMITICITY_PROBES):
         vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         n = np.linalg.norm(vals.ravel()) * np.sqrt(grid.cell_volume)
-        out.append(WaveFunction(grid, vals / n))
-    return out
-
-
-def hermiticity_defect(spec: HamiltonianSpec, t: float, grid: Grid,
-                       probes=None, count: int = 8, seed: int = 7041) -> float:
-    """max |<phi, H psi> - <H phi, psi>| over a probe set (discrete self-adjointness)."""
-    if probes is None:
-        probes = random_probes(grid, max(count, 8), seed)
+        probes.append(WaveFunction(grid, vals / n))
     fn = hamiltonian_apply_fn(spec, t, grid)
     applied = [WaveFunction(grid, fn(p.values)) for p in probes]
     worst = 0.0

@@ -39,7 +39,7 @@ from .gauge import length_to_velocity, phase_fidelity, velocity_to_length
 from .hamiltonians import (PotentialModel, dipole_length, dipole_velocity,
                            full_coupling, gaussian_well, n_body_soft_core,
                            soft_core_coulomb, zero_potential)
-from .propagate import (KRYLOV, SPLIT, StepperConfig, evolve,
+from .propagate import (KRYLOV, SPLIT, TIME_MATCH_TOL, StepperConfig, evolve,
                         ground_state_imaginary_time)
 from .spatial import Grid, WaveFunction, gaussian_packet, make_grid, write_snapshot
 
@@ -48,6 +48,9 @@ PRESETS = ("cw-1d", "pulse-1d", "two-body-1d")
 # the presets take at most 1,280 steps; a config far beyond that would run
 # for days
 MAX_STEPS = 2 ** 20
+
+# the gauge check compares the two gauges at this many equal intervals
+GAUGE_MARKS = 16
 
 _SECTION_ORDER = ("grid", "field", "potential", "run")
 
@@ -109,8 +112,10 @@ class StudyConfig:
         b_max = abs(self.amplitude) * max(1.0, 1.0 / self.omega)
         if not math.isfinite(2.0 * self.particles * b_max * b_max):
             raise ConfigError("amplitude must be finite with a finite |b|^2 = (E/omega)^2")
-        if self.panels < 1:
-            raise ConfigError("panels must be >= 1")
+        # each of the 4 * panels Simpson intervals takes at least one of the
+        # at most MAX_STEPS steps
+        if not 1 <= 4 * self.panels <= MAX_STEPS:
+            raise ConfigError(f"panels must lie in [1, MAX_STEPS / 4 = {MAX_STEPS // 4}]")
         if not 8 <= self.krylov_m <= 64:
             raise ConfigError("krylov_m must lie in [8, 64]")
         if not (self.krylov_tol > 0 and self.ground_tol > 0):
@@ -184,6 +189,15 @@ class StudyConfig:
             raise ConfigError("t0 must be positive")
         if self.final_time <= self.start_time:
             raise ConfigError("t_final must exceed t0")
+        # the Simpson nodes (4 * panels intervals) and the gauge check's marks
+        # must land on steps
+        steps = round((self.final_time - self.start_time) / self.dt)
+        lattice = math.lcm(4 * self.panels, GAUGE_MARKS)
+        if (abs(self.start_time + steps * self.dt - self.final_time)
+                > TIME_MATCH_TOL * max(1.0, abs(self.final_time)) or steps % lattice):
+            raise ConfigError(
+                f"(t_final - t0) / dt must be a whole number of steps divisible by "
+                f"{lattice}, the lcm of 4 * panels and {GAUGE_MARKS} gauge marks")
         for lam in self.lambdas:
             if not is_commensurate(env, grid, lam):
                 raise ConfigError(
@@ -450,9 +464,8 @@ def run_gauge_check(config: StudyConfig, lam: float | None = None,
     spec_v = dipole_velocity(fld_v, potential)
     spec_l = dipole_length(fld_l, potential)
 
-    n_marks = 16
     span = t_final - t0
-    sample = tuple(t0 + span * j / n_marks for j in range(n_marks + 1))
+    sample = tuple(t0 + span * j / GAUGE_MARKS for j in range(GAUGE_MARKS + 1))
     stepper = lambda: StepperConfig(dt=config.dt, t0=t0, t_final=t_final,
                                     method=SPLIT, store_states=True,
                                     sample_times=sample)

@@ -123,13 +123,6 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
     return step_length
 
 
-def step_split(spec: HamiltonianSpec, psi: WaveFunction, t: float,
-               dt: float) -> WaveFunction:
-    """One Strang step exp(-i dt/2 Veff) exp(-i dt K(t_mid)) exp(-i dt/2 Veff)."""
-    stepper = _split_stepper(spec, psi.grid, dt)
-    return WaveFunction(psi.grid, stepper(psi.values, t + 0.5 * dt))
-
-
 def _lanczos(apply_fn, v0: np.ndarray, m: int, local: bool = False):
     """Lanczos tridiagonalisation of apply_fn on the Krylov space of the unit vector v0.
 
@@ -255,14 +248,6 @@ def _krylov_step_values(spec: HamiltonianSpec, grid: Grid, values: np.ndarray,
     return _krylov_step_values(spec, grid, mid, t + half, half, m, tol, depth + 1)
 
 
-def step_krylov(spec: HamiltonianSpec, psi: WaveFunction, t: float, dt: float,
-                m: int = 24, tol: float = 1e-10) -> WaveFunction:
-    """exp(-i dt H(t + dt/2)) psi via Lanczos; auto-halves dt on non-convergence."""
-    _check_hermiticity_guard(spec, t + 0.5 * dt, psi.grid)
-    vals = _krylov_step_values(spec, psi.grid, psi.values, t, dt, m, tol)
-    return WaveFunction(psi.grid, vals)
-
-
 def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig) -> Trajectory:
     """Propagate psi0 from t0 to t_final with per-step norm bookkeeping.
 
@@ -284,7 +269,7 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig) -> 
         sample_times = (config.t0, config.t_final) if nsteps > 0 else (config.t0,)
     sample_index: dict[int, float] = {}
     for s in sample_times:
-        k = int(round((s - config.t0) / config.dt)) if config.dt > 0 else 0
+        k = int(round((s - config.t0) / config.dt))
         if k < 0 or k > nsteps or abs(config.t0 + k * config.dt - s) > TIME_MATCH_TOL * max(1.0, abs(s)):
             raise ConfigError(f"sample time {s} does not land on a step boundary")
         sample_index[k] = s

@@ -1,9 +1,9 @@
 """Periodic tensor grids, wavefunctions, and spectral operations.
 
 Discrete L2 convention: the norm carries the volume element, so grid
-refinement leaves norms invariant.  The Fourier pair is unitary between the
-position measure (prod dx) and the momentum measure (prod dk, dk = 2*pi/L).
-Boxes are centered: coordinates run over [-L/2, L/2).
+refinement leaves norms invariant.  States live in position space; momentum
+space is only passed through, as a Fourier multiplier between the unnormalized
+forward and inverse DFTs.  Boxes are centered: coordinates run over [-L/2, L/2).
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
-
-    @property
-    def momentum_cell_volume(self) -> float:
-        return float(np.prod([2.0 * np.pi / l for l in self.lengths]))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
@@ -115,29 +111,21 @@ def make_grid(dim: int, points, lengths, particles: int = 1,
 
 
 class WaveFunction:
-    """Complex amplitudes on a grid, in position or momentum space."""
+    """Complex position-space amplitudes on a grid."""
 
-    __slots__ = ("grid", "values", "space")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values: np.ndarray, space: str = "position"):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
         if values.shape != grid.shape:
             raise ConfigError("values shape does not match grid shape")
-        if space not in ("position", "momentum"):
-            raise ConfigError(f"unknown space {space!r}")
         if not np.all(np.isfinite(values.view(float))):
             raise ConfigError("wavefunction amplitudes must be finite")
         self.grid = grid
         self.values = values
-        self.space = space
 
     def copy(self) -> "WaveFunction":
-        return WaveFunction(self.grid, self.values.copy(), self.space)
-
-    @property
-    def measure(self) -> float:
-        return (self.grid.cell_volume if self.space == "position"
-                else self.grid.momentum_cell_volume)
+        return WaveFunction(self.grid, self.values.copy())
 
 
 def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
@@ -145,20 +133,18 @@ def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
     if phi.grid is not psi.grid and (phi.grid.shape != psi.grid.shape
                                      or phi.grid.lengths != psi.grid.lengths):
         raise ConfigError("inner product of states on different grids")
-    if phi.space != psi.space:
-        raise ConfigError("inner product across position/momentum spaces")
-    return complex(np.vdot(phi.values, psi.values) * phi.measure)
+    return complex(np.vdot(phi.values, psi.values) * phi.grid.cell_volume)
 
 
 def norm(psi: WaveFunction) -> float:
-    return float(np.linalg.norm(psi.values.ravel()) * np.sqrt(psi.measure))
+    return float(np.linalg.norm(psi.values.ravel()) * np.sqrt(psi.grid.cell_volume))
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
     n = norm(psi)
     if n == 0.0:
         raise ConfigError("cannot normalize the zero state")
-    return WaveFunction(psi.grid, psi.values / n, psi.space)
+    return WaveFunction(psi.grid, psi.values / n)
 
 
 def gaussian_packet(grid: Grid, center, sigma: float, momentum=None) -> WaveFunction:
@@ -220,20 +206,6 @@ def fourier_pair(grid: Grid):
     return forward, inverse
 
 
-def to_momentum(psi: WaveFunction) -> WaveFunction:
-    if psi.space != "position":
-        raise ConfigError("to_momentum expects a position-space state")
-    scale = psi.grid.cell_volume / (2.0 * np.pi) ** (psi.grid.dim / 2.0)
-    return WaveFunction(psi.grid, np.fft.fftn(psi.values) * scale, space="momentum")
-
-
-def from_momentum(psi_hat: WaveFunction) -> WaveFunction:
-    if psi_hat.space != "momentum":
-        raise ConfigError("from_momentum expects a momentum-space state")
-    scale = (2.0 * np.pi) ** (psi_hat.grid.dim / 2.0) / psi_hat.grid.cell_volume
-    return WaveFunction(psi_hat.grid, np.fft.ifftn(psi_hat.values * scale))
-
-
 def spectral_axis_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """d/dx_axis via the Fourier multiplier i*k (raw array in, raw array out).
 
@@ -242,35 +214,6 @@ def spectral_axis_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.nd
     vhat = np.fft.fft(values, axis=axis - grid.dim)
     vhat *= 1j * grid.k_mesh(axis)
     return np.fft.ifft(vhat, axis=axis - grid.dim, out=vhat)
-
-
-def spectral_gradient(psi: WaveFunction) -> tuple[WaveFunction, ...]:
-    vhat = np.fft.fftn(psi.values)
-    out = []
-    for axis in range(psi.grid.dim):
-        out.append(WaveFunction(
-            psi.grid, np.fft.ifftn(vhat * (1j * psi.grid.k_mesh(axis)))))
-    return tuple(out)
-
-
-def spectral_laplacian(psi: WaveFunction) -> WaveFunction:
-    vhat = np.fft.fftn(psi.values)
-    return WaveFunction(psi.grid, np.fft.ifftn(-psi.grid.k_square * vhat))
-
-
-def expectations(psi: WaveFunction) -> dict:
-    """{<x> per axis, <p> per axis, <x^2> summed, <p^2> summed} for reports."""
-    g = psi.grid
-    dens = np.abs(psi.values) ** 2 * g.cell_volume
-    total = float(dens.sum())
-    x_mean = np.array([float((g.mesh(a) * dens).sum()) for a in range(g.dim)]) / total
-    x2 = sum(float(((g.mesh(a) - x_mean[a]) ** 2 * dens).sum()) for a in range(g.dim)) / total
-    vhat = np.fft.fftn(psi.values)
-    dens_k = np.abs(vhat) ** 2
-    wk = float(dens_k.sum())
-    p_mean = np.array([float((g.k_mesh(a) * dens_k).sum()) for a in range(g.dim)]) / wk
-    p2 = float((g.k_square * dens_k).sum()) / wk
-    return {"x": x_mean, "p": p_mean, "x2": x2, "p2": p2}
 
 
 def write_snapshot(path, psi: WaveFunction) -> None:

@@ -150,7 +150,9 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
         "psi0, _ = cfg.build_initial_state(grid)\n"
         "field = fields.ScaledField(cfg.build_envelope(), cfg.lambdas[0], cfg.omega)\n"
         "spec = hamiltonians.full_coupling(field, cfg.build_potential())\n"
-        "propagate.step_krylov(spec, psi0, cfg.start_time, cfg.dt)\n"
+        "propagate.evolve(spec, psi0, propagate.StepperConfig(\n"
+        "    dt=cfg.dt, t0=cfg.start_time, t_final=cfg.start_time + cfg.dt,\n"
+        "    method='krylov'))\n"
         "harness.run_bounds_check(cfg)\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
     src = str(Path(dipolelab.__file__).resolve().parent.parent)
@@ -163,25 +165,27 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
 
 
 def test_envelope_dt_cw_at_origin():
-    # d/dt [E sin(-t)] = -E cos(t) -> -eps at t=0
-    val = fields.eval_envelope_dt(cw3(), np.zeros(3), 0.0, order=1)
-    np.testing.assert_allclose(val, -EY, atol=1e-14)
+    # d/dt [E sin(-t)] = -E cos(t) -> -E at t=0; the second derivative vanishes
+    assert fields.profile_derivative(fields.CW, 0.0, 1) == 1.0
+    assert fields.profile_derivative(fields.CW, 0.0, 2) == 0.0
 
 
 def test_envelope_dt_zero_envelope():
-    env = fields.zero_envelope(3)
-    assert np.all(fields.eval_envelope_dt(env, np.ones(3), 2.3, 1) == 0.0)
+    u = np.linspace(-3.0, 3.0, 7)
+    for order in (1, 2):
+        assert np.all(fields.profile_derivative(fields.ZERO, u, order) == 0.0)
 
 
 def test_envelope_dt_pulse_at_origin():
-    env = fields.gaussian_pulse(1.0, [1, 0], [0, 1])
-    val = fields.eval_envelope_dt(env, 0.0, 0.0, order=1)
-    np.testing.assert_allclose(val, [0.0, -1.0], atol=1e-12)
+    # F'(u) = exp(-u^2) cos(u) and F''(0) = 0
+    assert fields.profile_derivative(fields.PULSE, 0.0, 1) == 1.0
+    assert fields.profile_derivative(fields.PULSE, 0.0, 2) == 0.0
 
 
 def test_envelope_dt_order_validation():
-    with pytest.raises(ConfigError):
-        fields.eval_envelope_dt(cw3(), np.zeros(3), 0.0, order=3)
+    for order in (0, 3):
+        with pytest.raises(ConfigError):
+            fields.profile_derivative(fields.CW, 0.0, order)
 
 
 @pytest.mark.parametrize("kind,make", [
@@ -189,17 +193,19 @@ def test_envelope_dt_order_validation():
     ("pulse", lambda: fields.gaussian_pulse(0.7, EX, EY)),
 ])
 def test_derivatives_match_finite_differences(kind, make):
+    # a(x, t) = E f(u) eps with u = 2 pi k.x - t, so d/dt a = -E f'(u) eps
     env = make()
     h = 1e-5
     for x in (np.zeros(3), np.array([0.13, -0.5, 0.02])):
         for t in (0.0, 0.41, 2.9):
+            u = fields.ray_coordinate(env, x, t)
             fd1 = (fields.eval_envelope(env, x, t + h)
                    - fields.eval_envelope(env, x, t - h)) / (2 * h)
-            an1 = fields.eval_envelope_dt(env, x, t, 1)
+            an1 = -env.amplitude * fields.profile_derivative(kind, u, 1) * env.eps_hat
             np.testing.assert_allclose(an1, fd1, rtol=1e-6, atol=1e-8)
-            fd2 = (fields.eval_envelope_dt(env, x, t + h, 1)
-                   - fields.eval_envelope_dt(env, x, t - h, 1)) / (2 * h)
-            an2 = fields.eval_envelope_dt(env, x, t, 2)
+            fd2 = (fields.profile_derivative(kind, u + h, 1)
+                   - fields.profile_derivative(kind, u - h, 1)) / (2 * h)
+            an2 = fields.profile_derivative(kind, u, 2)
             np.testing.assert_allclose(an2, fd2, rtol=1e-5, atol=1e-7)
 
 
@@ -210,7 +216,7 @@ def test_derivative_consistency_property(x, t):
     h = 1e-5
     fd = (fields.eval_envelope(env, x, t + h)
           - fields.eval_envelope(env, x, t - h)) / (2 * h)
-    an = fields.eval_envelope_dt(env, x, t, 1)
+    an = -fields.profile_derivative(fields.PULSE, 2 * np.pi * x - t, 1) * env.eps_hat
     np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -228,9 +234,10 @@ def test_pulse_antiderivative_identity():
 
 def test_scaled_field_construction():
     fld = fields.ScaledField(cw3(), lam=40.0, omega=1.0)
-    assert fld.c_derived == pytest.approx(40.0 / (2 * np.pi))
-    with pytest.raises(ConfigError):
-        fields.ScaledField(cw3(), lam=-1.0, omega=1.0)
+    assert (fld.lam, fld.omega) == (40.0, 1.0)
+    for lam, omega in ((-1.0, 1.0), (40.0, 0.0)):
+        with pytest.raises(ConfigError):
+            fields.ScaledField(cw3(), lam=lam, omega=omega)
 
 
 def test_scaled_A_taylor_decay():
@@ -389,11 +396,11 @@ def test_time_derivatives_uniformly_bounded():
         sup = 0.0
         for x in xs:
             pos = np.array([x, 0.0, 0.0])
-            for t in ts:
-                sup = max(sup, np.max(np.abs(fields.eval_envelope(env, pos, t))))
-                for order in (1, 2):
-                    sup = max(sup, np.max(np.abs(
-                        fields.eval_envelope_dt(env, pos, t, order))))
+            u = fields.ray_coordinate(env, pos, ts[:, None])
+            sup = max(sup, np.max(np.abs(fields.eval_envelope(env, pos, ts[:, None]))))
+            for order in (1, 2):
+                sup = max(sup, env.amplitude * np.max(np.abs(
+                    fields.profile_derivative(env.kind, u, order))))
         assert np.isfinite(sup)
         assert sup <= 3.0 * env.amplitude
 

@@ -71,7 +71,7 @@ def test_config_validation():
     ("lambdas", (20.0, float("inf"))), ("seed", -1),
     ("lambdas", ()), ("lambdas", (5e-324,)), ("amplitude", float("nan")),
     ("amplitude", 1e308), ("amplitude", 1e154), ("t_final", 1e308),
-    ("dt", 1.6e-74), ("t_final", 1e154),
+    ("dt", 1.6e-74), ("t_final", 1e154), ("panels", harness.MAX_STEPS // 4 + 1),
 ])
 def test_config_domain_checks(field, value):
     with pytest.raises(ConfigError):
@@ -321,10 +321,11 @@ def test_cli_malformed_ini(tmp_path, capsys, text):
 @pytest.mark.parametrize("command", ["sweep", "bounds", "field-check", "gauge-check", "cook"])
 @pytest.mark.parametrize("section, key, value", [
     ("field", "omega", "0"), ("run", "dt", "nan"), ("run", "panels", "0"),
+    ("run", "panels", "1000000000000000"),
     ("run", "krylov_m", "100"), ("field", "amplitude", "1e308"),
     ("run", "t_final", "1e308"), ("run", "dt", "1.6e-74"), ("run", "t_final", "1e154"),
-], ids=["omega-zero", "dt-nan", "panels-zero", "krylov-m-100", "amplitude-1e308",
-        "t-final-1e308", "dt-1.6e-74", "t-final-1e154"])
+], ids=["omega-zero", "dt-nan", "panels-zero", "panels-1e15", "krylov-m-100",
+        "amplitude-1e308", "t-final-1e308", "dt-1.6e-74", "t-final-1e154"])
 def test_cli_config_hole_fails_before_compute(tmp_path, capsys, monkeypatch,
                                               command, section, key, value):
     def no_compute(*args, **kwargs):
@@ -342,6 +343,26 @@ def test_cli_config_hole_fails_before_compute(tmp_path, capsys, monkeypatch,
     assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:")
+
+
+def test_cli_sweep_off_the_step_lattice_fails_before_compute(tmp_path, capsys,
+                                                              monkeypatch):
+    # 1,284 steps hold the 4 Simpson intervals of one panel but not the 16
+    # gauge marks; the sweep once ran in full before the gauge check failed
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the ground state was solved for an invalid config")
+
+    monkeypatch.setattr(harness, "ground_state_imaginary_time", no_compute)
+    ini = tmp_path / "study.ini"
+    replace(harness.preset_config("cw-1d"), dt=2 * np.pi / 1284, panels=1).write_ini(ini)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "divisible by 16" in lines[0]
+    assert not out.exists()
+    # 1,296 steps hold the 16 marks but not the 128 intervals of 32 panels
+    with pytest.raises(ConfigError, match="divisible by 128"):
+        replace(harness.preset_config("cw-1d"), dt=2 * np.pi / 1296).validate()
 
 
 def test_cli_unknown_subcommand():

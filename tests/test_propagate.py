@@ -22,10 +22,17 @@ def cw_dipole_spec(amplitude=0.5, lam=10.0, potential=None, grid_dim=1):
     return ham.dipole_velocity(fld, potential or ham.soft_core_coulomb(1.0, 1.0))
 
 
+def one_step(spec, psi, t, dt, method):
+    """The state after one evolve step from t to t + dt."""
+    cfg = prop.StepperConfig(dt=dt, t0=t, t_final=t + dt, method=method,
+                             store_states=True, sample_times=(t + dt,))
+    return prop.evolve(spec, psi, cfg).terminal_state
+
+
 def test_split_free_step_is_exact():
     g = spatial.make_grid(1, 256, 40.0)
     psi = spatial.gaussian_packet(g, 0.0, 1.0, 2.0)
-    out = prop.step_split(zero_spec(), psi, 0.0, 1e-2)
+    out = one_step(zero_spec(), psi, 0.0, 1e-2, "split")
     phase = np.exp(-1j * 1e-2 * g.k_square)
     ref = np.fft.ifftn(phase * np.fft.fftn(psi.values))
     assert np.max(np.abs(out.values - ref)) < 1e-13
@@ -37,7 +44,7 @@ def test_split_rejects_full_coupling():
     spec = ham.full_coupling(fields.ScaledField(env, 8.0, 1.0), ham.zero_potential())
     psi = spatial.gaussian_packet(g, 0.0, 1.0, 0.0)
     with pytest.raises(ConfigError):
-        prop.step_split(spec, psi, 0.0, 1e-2)
+        one_step(spec, psi, 0.0, 1e-2, "split")
 
 
 def test_split_momentum_phase_oracle():
@@ -73,8 +80,8 @@ def test_krylov_matches_split_on_dipole():
     g = spatial.make_grid(1, 256, 40.0)
     spec = cw_dipole_spec(0.5, 10.0)
     psi = spatial.gaussian_packet(g, 0.0, 1.0, 0.0)
-    a = prop.step_split(spec, psi, 0.2, 1e-3)
-    b = prop.step_krylov(spec, psi, 0.2, 1e-3)
+    a = one_step(spec, psi, 0.2, 1e-3, "split")
+    b = one_step(spec, psi, 0.2, 1e-3, "krylov")
     err = np.linalg.norm((a.values - b.values).ravel()) * np.sqrt(g.cell_volume)
     assert err <= 1e-8
 
@@ -99,7 +106,7 @@ def test_two_method_agreement_over_unit_time():
 def test_krylov_free_matches_analytic():
     g = spatial.make_grid(1, 64, 20.0)
     psi = probe_ensemble(g, 1, seed=9)[0]
-    out = prop.step_krylov(zero_spec(), psi, 0.0, 1e-2)
+    out = one_step(zero_spec(), psi, 0.0, 1e-2, "krylov")
     phase = np.exp(-1j * 1e-2 * g.k_square)
     ref = np.fft.ifftn(phase * np.fft.fftn(psi.values))
     err = np.linalg.norm((out.values - ref).ravel()) * np.sqrt(g.cell_volume)
@@ -117,7 +124,7 @@ def test_krylov_agrees_with_dense_oracle_single_step(maker):
     fld = fields.ScaledField(env, fields.snap_lambda(20.0, 2), 1.0)
     spec = maker(fld, ham.soft_core_coulomb(1.0, 1.0))
     psi = probe_ensemble(g, 1, seed=5)[0]
-    out = prop.step_krylov(spec, psi, 0.1, 1e-3)
+    out = one_step(spec, psi, 0.1, 1e-3, "krylov")
     ref = prop.dense_oracle_evolve(spec, psi, 0.1, 0.101, 1)
     err = np.linalg.norm((out.values - ref.values).ravel()) * np.sqrt(g.cell_volume)
     assert err < 1e-9
@@ -129,8 +136,8 @@ def test_krylov_guard_trips_on_non_hermitian_fixture():
     fld = fields.ScaledField(env, 20.0, 1.0)
     spec = ham.HamiltonianSpec("full", fld, ham.zero_potential())
     psi = spatial.gaussian_packet(g, 0.0, 1.5, 0.0)
-    with pytest.raises(NumericalError):
-        prop.step_krylov(spec, psi, 0.0, 1e-2)
+    with pytest.raises(NumericalError, match="hermiticity"):
+        one_step(spec, psi, 0.0, 1e-2, "krylov")
 
 
 def test_krylov_evolve_releases_its_spec():
@@ -220,12 +227,14 @@ def test_reversibility_exact_inverse_steps():
     spec = cw_dipole_spec(0.5, 10.0)
     _, psi0 = prop.ground_state_imaginary_time(spec.potential, g, tol=1e-8)
     dt, t0, steps = 5e-3, 0.01, 200
-    psi = psi0
+    forward = prop._split_stepper(spec, g, dt)
+    backward = prop._split_stepper(spec, g, -dt)
+    values = psi0.values
     for j in range(steps):
-        psi = prop.step_split(spec, psi, t0 + j * dt, dt)
+        values = forward(values, t0 + (j + 0.5) * dt)
     for j in reversed(range(steps)):
-        psi = prop.step_split(spec, psi, t0 + (j + 1) * dt, -dt)
-    err = np.linalg.norm((psi.values - psi0.values).ravel()) * np.sqrt(g.cell_volume)
+        values = backward(values, t0 + (j + 0.5) * dt)
+    err = np.linalg.norm((values - psi0.values).ravel()) * np.sqrt(g.cell_volume)
     assert err < 1e-7
 
 
@@ -254,8 +263,8 @@ def test_ground_state_against_dense_oracle():
         w = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
         assert abs(energy - w[0]) < tol
         assert spatial.norm(psi) == pytest.approx(1.0, abs=1e-10)
-        hpsi = ham.apply_hamiltonian(spec, 0.0, psi)
-        resid = spatial.norm(spatial.WaveFunction(g, hpsi.values - energy * psi.values))
+        hpsi = ham.hamiltonian_apply_fn(spec, 0.0, g)(psi.values)
+        resid = spatial.norm(spatial.WaveFunction(g, hpsi - energy * psi.values))
         assert resid <= 1e-8
 
 
