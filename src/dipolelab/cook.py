@@ -10,7 +10,8 @@ terminal error by
 where b(r, s) = (1/w) a(r/lam, w s) is the coupling that
 ``fields.coupling_arrays`` samples and psi_s is the dipole-evolved state.
 Only the dipole trajectory is needed to produce B, which is what makes the
-certificate usable a-posteriori.
+certificate usable a-posteriori; the dipole run evaluates g for every
+wavelength as it passes each node, so no node state is kept.
 B is composite Simpson over the fine nodes; the same samples at every other
 node give a coarse B, and a fine/coarse gap above QUAD_SELF_TOL (relative)
 flags the quadrature.  The measured error e that B is compared against comes
@@ -98,23 +99,26 @@ def simpson_weights(panels: int, t0: float, t: float) -> tuple[np.ndarray, np.nd
     return nodes, weights * h / 3.0
 
 
-def _bound_from_samples(fld: ScaledField, nodes: np.ndarray,
-                        states: list[WaveFunction], panels: int):
-    """(g_values, B, B_coarse, quad_flag) from dipole states at the fine nodes."""
-    g_values = np.array([cook_integrand(fld, s, psi)
-                         for s, psi in zip(nodes, states)])
+def _bound_from_samples(nodes: np.ndarray, g_values: np.ndarray, panels: int):
+    """(B, B_coarse, quad_flag) from one wavelength's g at the fine nodes."""
     _, w_fine = simpson_weights(2 * panels, nodes[0], nodes[-1])
     _, w_coarse = simpson_weights(panels, nodes[0], nodes[-1])
     bound_fine = float(w_fine @ g_values)
     bound_coarse = float(w_coarse @ g_values[::2])
     flag = abs(bound_fine - bound_coarse) > QUAD_SELF_TOL * max(bound_fine, 1e-30)
-    return g_values, bound_fine, bound_coarse, flag
+    return bound_fine, bound_coarse, flag
 
 
-def dipole_node_trajectory(spec_inf: HamiltonianSpec, psi0: WaveFunction,
-                           t0: float, t: float, panels: int,
+def dipole_node_trajectory(spec_inf: HamiltonianSpec, fields: list[ScaledField],
+                           psi0: WaveFunction, t0: float, t: float, panels: int,
                            dt: float | None = None):
-    """Dipole evolution sampled at the fine Simpson nodes (2*panels panels)."""
+    """Dipole evolution through the fine Simpson nodes (2*panels panels).
+
+    g(s) is evaluated for each of the fields as the run passes each node, so
+    no node state is kept.  Returns (nodes, g_table, psi_final),
+    with g_table[i, j] = g(nodes[j]) for fields[i] and psi_final the dipole
+    state at t.
+    """
     nodes, _ = simpson_weights(2 * panels, t0, t)
     spacing = nodes[1] - nodes[0]
     if dt is None:
@@ -122,7 +126,16 @@ def dipole_node_trajectory(spec_inf: HamiltonianSpec, psi0: WaveFunction,
     substeps = int(round(spacing / dt))
     if substeps < 1 or abs(substeps * dt - spacing) > 1e-9 * max(1.0, spacing):
         raise ConfigError("dt must divide the Simpson node spacing")
+    g_table = np.empty((len(fields), nodes.size))
+    columns = iter(g_table.T)
+    final = []
+
+    def on_node(s: float, psi: WaveFunction) -> None:
+        next(columns)[:] = [cook_integrand(fld, s, psi) for fld in fields]
+        if s == nodes[-1]:
+            final.append(psi.copy())
+
     config = StepperConfig(dt=dt, t0=t0, t_final=t, method=SPLIT,
-                           store_states=True, sample_times=tuple(nodes))
-    traj = evolve(spec_inf, psi0, config)
-    return nodes, traj
+                           sample_times=tuple(nodes))
+    evolve(spec_inf, psi0, config, on_sample=on_node)
+    return nodes, g_table, final[0]

@@ -24,6 +24,7 @@ can hold both vectors in-plane and exercise the gradient coupling as well.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -337,6 +338,46 @@ def grid_components(vec: np.ndarray, grid) -> np.ndarray:
     return out
 
 
+# Sampling geometry is kept for the GEOMETRY_CACHE_SIZE most recently added
+# (envelope vectors, lam, grid) keys; a study uses one per wavelength.
+GEOMETRY_CACHE_SIZE = 16
+_geometry_cache: dict = {}
+_geometry_lock = threading.Lock()   # a sweep's wavelength threads share the cache
+
+
+def _sampling_geometry(field: ScaledField, grid):
+    """The time-independent part of ``coupling_arrays``: (rays, eps_axes).
+
+    rays[p] is particle p's ray offset 2 pi k_hat.x / lam, broadcastable
+    against the grid (read-only); eps_axes[p] lists (grid axis, eps_i) for
+    each nonzero on-grid polarization component of particle p.  Cached per
+    geometry, oldest entry evicted first.
+    """
+    env = field.envelope
+    key = (env.k_hat.tobytes(), env.eps_hat.tobytes(), field.lam,
+           grid.shape, grid.lengths, grid.particles)
+    hit = _geometry_cache.get(key)
+    if hit is not None:
+        return hit
+    d = grid.per_particle_dim
+    k = grid_components(env.k_hat, grid)
+    eps = grid_components(env.eps_hat, grid)
+    rays, eps_axes = [], []
+    for p in range(grid.particles):
+        u = np.zeros((1,) * grid.dim)
+        for i in np.flatnonzero(k):
+            u = u + (2.0 * np.pi * k[i] / field.lam) * grid.mesh(p * d + i)
+        u.setflags(write=False)
+        rays.append(u)
+        eps_axes.append([(p * d + i, eps[i]) for i in np.flatnonzero(eps)])
+    geometry = rays, eps_axes
+    with _geometry_lock:
+        while len(_geometry_cache) >= GEOMETRY_CACHE_SIZE:
+            del _geometry_cache[next(iter(_geometry_cache))]
+        _geometry_cache[key] = geometry
+    return geometry
+
+
 def coupling_arrays(field: ScaledField, t: float, grid, dipole: bool = False):
     """Sampled coupling b(r, t) = (1/omega) a(r/lam, omega t) on the grid.
 
@@ -345,26 +386,20 @@ def coupling_arrays(field: ScaledField, t: float, grid, dipole: bool = False):
     particles, off-grid polarization components included.  Each particle's
     position embeds as the leading field coordinates.  With dipole=True the
     coupling is b(0, t) and every value is a float; otherwise the values are
-    arrays that broadcast against the grid.
+    arrays that broadcast against the grid.  Only the profile is evaluated
+    per call; the geometry comes from ``_sampling_geometry``.
     """
     env = field.envelope
-    d = grid.per_particle_dim
-    eps = grid_components(env.eps_hat, grid)
+    rays, eps_axes = _sampling_geometry(field, grid)
     amp = env.amplitude / field.omega
     s = field.omega * t
     if dipole:
         profiles = [amp * float(profile_value(env.kind, -s))] * grid.particles
     else:
-        k = grid_components(env.k_hat, grid)
-        profiles = []
-        for p in range(grid.particles):
-            u = np.zeros((1,) * grid.dim)
-            for i in np.flatnonzero(k):
-                u = u + (2.0 * np.pi * k[i] / field.lam) * grid.mesh(p * d + i)
-            profiles.append(amp * profile_value(env.kind, u - s))
+        profiles = [amp * profile_value(env.kind, u - s) for u in rays]
     b_axes = []
     b_sq = 0.0 if dipole else np.zeros((1,) * grid.dim)
-    for p, b in enumerate(profiles):
+    for b, axes in zip(profiles, eps_axes):
         b_sq = b_sq + b * b
-        b_axes.extend((p * d + i, b * eps[i]) for i in np.flatnonzero(eps))
+        b_axes.extend((axis, b * e) for axis, e in axes)
     return b_axes, b_sq

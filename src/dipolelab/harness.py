@@ -345,7 +345,7 @@ class SweepResult:
     records: list
     slope: float | None
     nodes: np.ndarray
-    dipole_states: list
+    dipole_final: WaveFunction
     psi0: WaveFunction
     initial_energy: float | None
     dipole_runtime_s: float
@@ -380,19 +380,17 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
     psi0, energy = config.build_initial_state(grid)
     t0, t_final = config.start_time, config.final_time
 
-    ref_field = ScaledField(env, config.lambdas[0], config.omega)
-    spec_inf = dipole_velocity(ref_field, potential)
+    fields = [ScaledField(env, lam, config.omega) for lam in config.lambdas]
+    spec_inf = dipole_velocity(fields[0], potential)
     tick = time.perf_counter()
-    nodes, dipole_traj = dipole_node_trajectory(
-        spec_inf, psi0, t0, t_final, config.panels, config.dt)
+    nodes, g_table, psi_inf_final = dipole_node_trajectory(
+        spec_inf, fields, psi0, t0, t_final, config.panels, config.dt)
     dipole_runtime = time.perf_counter() - tick
-    dipole_states = dipole_traj.states
-    psi_inf_final = dipole_states[-1]
 
-    def one_lambda(lam: float) -> LambdaRecord:
+    def one_lambda(fld: ScaledField, g_values: np.ndarray) -> LambdaRecord:
+        lam = fld.lam
         tick = time.perf_counter()
         try:
-            fld = ScaledField(env, lam, config.omega)
             spec_full = full_coupling(fld, potential)
             stepper = StepperConfig(
                 dt=config.dt, t0=t0, t_final=t_final, method=KRYLOV,
@@ -401,8 +399,7 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
             traj = evolve(spec_full, psi0, stepper)
             diff = traj.terminal_state.values - psi_inf_final.values
             err = float(np.linalg.norm(diff.ravel())) * np.sqrt(grid.cell_volume)
-            g_values, b_fine, b_coarse, flag = _bound_from_samples(
-                fld, nodes, dipole_states, config.panels)
+            b_fine, b_coarse, flag = _bound_from_samples(nodes, g_values, config.panels)
             return LambdaRecord(lam, err, b_fine, b_coarse, flag, g_values,
                                 time.perf_counter() - tick)
         except NumericalError as exc:
@@ -411,14 +408,14 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(one_lambda, config.lambdas))
+            records = list(pool.map(one_lambda, fields, g_table))
     else:
-        records = [one_lambda(lam) for lam in config.lambdas]
+        records = [one_lambda(fld, g) for fld, g in zip(fields, g_table)]
     records.sort(key=lambda r: r.lam)
 
     return SweepResult(
         config=config, records=records, slope=_fit_decay_slope(records),
-        nodes=nodes, dipole_states=dipole_states, psi0=psi0,
+        nodes=nodes, dipole_final=psi_inf_final, psi0=psi0,
         initial_energy=energy, dipole_runtime_s=dipole_runtime,
         partial=any(r.diagnostic for r in records))
 
@@ -545,8 +542,7 @@ def run_study(config: StudyConfig, outdir, sweep: SweepResult | None = None) -> 
         fh.write("\n")
 
     write_snapshot(target / "snapshots" / "initial.dplw", sweep.psi0)
-    write_snapshot(target / "snapshots" / "dipole_final.dplw",
-                   sweep.dipole_states[-1])
+    write_snapshot(target / "snapshots" / "dipole_final.dplw", sweep.dipole_final)
 
     manifest = {
         "config_hash": chash,

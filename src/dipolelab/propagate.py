@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .fields import coupling_arrays
+from .fields import coupling_arrays, grid_components
 from .hamiltonians import (DIPOLE_VELOCITY, FULL, HamiltonianSpec, ZERO_POTENTIAL,
                            hamiltonian_apply_fn, hermiticity_defect,
                            length_gauge_term, potential_on_grid)
@@ -112,10 +112,14 @@ def _split_stepper(spec: HamiltonianSpec, grid: Grid,
         return step
 
     kin = np.exp(-1j * dt * k_sq)
+    # with no on-grid polarization E.r vanishes and the potential step is fixed
+    fixed_half_v = (None if np.any(grid_components(spec.field.envelope.eps_hat, grid))
+                    else np.exp(-0.5j * dt * v))
 
     def step_length(values: np.ndarray, t_mid: float) -> np.ndarray:
-        v_eff = v + length_gauge_term(spec.field, t_mid, grid)
-        half_v = np.exp(-0.5j * dt * v_eff)
+        half_v = fixed_half_v
+        if half_v is None:
+            half_v = np.exp(-0.5j * dt * (v + length_gauge_term(spec.field, t_mid, grid)))
         out = inverse(kin * forward(half_v * values))
         out *= half_v
         return out
@@ -248,12 +252,15 @@ def _krylov_step_values(spec: HamiltonianSpec, grid: Grid, values: np.ndarray,
     return _krylov_step_values(spec, grid, mid, t + half, half, m, tol, depth + 1)
 
 
-def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig) -> Trajectory:
+def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
+           on_sample: Callable[[float, WaveFunction], None] | None = None) -> Trajectory:
     """Propagate psi0 from t0 to t_final with per-step norm bookkeeping.
 
     The trajectory records the requested sample times, which must land on
     step boundaries, and the states at those times when config.store_states
-    is set.
+    is set.  on_sample(t, psi) is called once per sample time, in order, with
+    the running state; psi is valid only during the call, so a hook that
+    keeps it must copy it.
     """
     grid = psi0.grid
     n0 = norm(psi0)
@@ -292,6 +299,8 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig) -> 
         traj.times.append(sample_index[k])
         if config.store_states:
             traj.states.append(psi_now.copy())
+        if on_sample is not None:
+            on_sample(sample_index[k], psi_now)
 
     values = psi0.values.copy()
     if 0 in sample_index:

@@ -123,6 +123,30 @@ def test_simpson_weights_match_scipy():
         cook.simpson_weights(0, 0.0, 1.0)
 
 
+def test_streamed_g_table_matches_stored_node_states():
+    # the dipole run evaluates g at each node as it passes; the table, B and
+    # the final state equal those of a run that stores every node state
+    g, env, _, pot = transverse_setup()
+    psi0 = spatial.gaussian_packet(g, 0.0, 1.5, 0.0)
+    flds = [fields.ScaledField(env, lam, 1.0) for lam in (20.0, 40.0)]
+    spec = ham.dipole_velocity(flds[0], pot)
+    t0, dt, panels = 0.1, 0.01, 4
+    t1 = t0 + 16 * dt
+    nodes, g_table, final = cook.dipole_node_trajectory(spec, flds, psi0, t0, t1,
+                                                        panels, dt)
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, store_states=True,
+                             sample_times=tuple(nodes))
+    traj = prop.evolve(spec, psi0, cfg)
+    np.testing.assert_array_equal(final.values, traj.terminal_state.values)
+    assert g_table.shape == (2, nodes.size) == (2, len(traj.states))
+    _, w_fine = cook.simpson_weights(2 * panels, nodes[0], nodes[-1])
+    for fld, row in zip(flds, g_table):
+        ref = np.array([cook.cook_integrand(fld, s, psi)
+                        for s, psi in zip(nodes, traj.states)])
+        np.testing.assert_array_equal(row, ref)
+        assert cook._bound_from_samples(nodes, row, panels)[0] == float(w_fine @ ref)
+
+
 @pytest.fixture(scope="module")
 def trimmed_reports():
     return harness.run_cook_comparison(trimmed_config())

@@ -296,6 +296,18 @@ def sampler_case(name):
             fields.transverse_envelope("cw", 0.4, 1), 8.0)
 
 
+def test_sampling_geometry_cache_is_bounded():
+    grid, env, _ = sampler_case("two-particle-1d")
+    for m in range(1, 41):
+        fields.coupling_arrays(fields.ScaledField(env, 16.0 / m, 1.0), 0.3, grid)
+    assert len(fields._geometry_cache) <= fields.GEOMETRY_CACHE_SIZE == 16
+    # omega and the time are no part of the geometry
+    first = fields._sampling_geometry(fields.ScaledField(env, 8.0, 1.0), grid)
+    assert fields._sampling_geometry(fields.ScaledField(env, 8.0, 2.0), grid) is first
+    rays, _ = first
+    assert not any(u.flags.writeable for u in rays)
+
+
 @pytest.mark.parametrize("dipole", [False, True], ids=["full", "dipole"])
 @pytest.mark.parametrize("case", ["pulse-1d-transverse", "cw-2d-in-plane",
                                   "two-particle-1d"])

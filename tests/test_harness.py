@@ -1,5 +1,6 @@
 import configparser
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -412,3 +413,25 @@ def test_cli_numerical_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "run_convergence_sweep", explode)
     monkeypatch.setattr(cli, "run_convergence_sweep", explode)
     assert cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_peak_memory_does_not_grow_with_panels():
+    # the dipole run streams its Simpson nodes into the certificate, so four
+    # times the panels (17 -> 65 nodes) adds less than two states to the peak
+    dt = np.pi / 512
+
+    def traced_peak(panels):
+        cfg = trimmed_config(grid_dim=2, grid_points=(32, 32), grid_lengths=(32.0, 32.0),
+                             lambdas=(32.0,), initial_state="packet", packet_sigma=3.0,
+                             t_final=dt + 64 * dt, dt=dt, panels=panels)
+        tracemalloc.start()
+        try:
+            harness.run_convergence_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    state_bytes = 32 * 32 * 16
+    traced_peak(4)   # fills the module caches
+    small = traced_peak(4)
+    assert traced_peak(16) - small < 2 * state_bytes

@@ -202,6 +202,49 @@ def test_evolve_records_states_at_sample_times():
     assert len(traj.states) == 5
 
 
+def test_on_sample_hook_sees_each_sample_once_in_step_order():
+    g = spatial.make_grid(1, 128, 40.0)
+    spec = cw_dipole_spec(0.5, 10.0)
+    psi = spatial.gaussian_packet(g, 0.0, 1.5, 0.5)
+    times = (0.21, 0.01, 0.11, 0.11, 0.06)   # out of order, one repeated
+    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=0.21, sample_times=times,
+                             store_states=True)
+    plain = prop.evolve(spec, psi, cfg)
+    seen = []
+    hooked = prop.evolve(spec, psi, cfg,
+                         on_sample=lambda t, p: seen.append((t, p.values.copy())))
+    assert [t for t, _ in seen] == plain.times == hooked.times == [0.01, 0.06, 0.11, 0.21]
+    for (_, values), a, b in zip(seen, plain.states, hooked.states):
+        np.testing.assert_array_equal(values, a.values)
+        np.testing.assert_array_equal(b.values, a.values)
+    assert ((hooked.nsteps, hooked.max_step_drift, hooked.terminal_norm)
+            == (plain.nsteps, plain.max_step_drift, plain.terminal_norm))
+
+
+@pytest.mark.parametrize("plane", [False, True], ids=["off-grid", "in-plane"])
+def test_length_split_step_matches_per_step_exponential(plane):
+    # with off-grid polarization the step exponentiates v once; either way it
+    # is bit-identical to exponentiating v + E.r at the step midpoint
+    if plane:
+        g = spatial.make_grid(2, [16, 16], [16.0, 16.0])
+        env = fields.in_plane_envelope("cw", 0.5)
+    else:
+        g = spatial.make_grid(1, 128, 40.0)
+        env = fields.transverse_envelope("cw", 0.5, 1)
+    spec = ham.dipole_length(fields.ScaledField(env, 8.0, 1.0), ham.soft_core_coulomb(1.0, 1.0))
+    dt = 1e-2
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    forward, inverse = spatial.fourier_pair(g)
+    step = prop._split_stepper(spec, g, dt)
+    for t_mid in (0.37, 1.21):
+        v = ham.potential_on_grid(spec.potential, g)
+        half_v = np.exp(-0.5j * dt * (v + ham.length_gauge_term(spec.field, t_mid, g)))
+        ref = inverse(np.exp(-1j * dt * g.k_square) * forward(half_v * values))
+        ref *= half_v
+        np.testing.assert_array_equal(step(values, t_mid), ref)
+
+
 @pytest.mark.parametrize("method", ["split", "krylov"])
 def test_self_convergence_is_second_order(method):
     g = spatial.make_grid(1, 128, 40.0)
