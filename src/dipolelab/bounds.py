@@ -44,6 +44,13 @@ from .spatial import Grid, WaveFunction, fourier_pair, spectral_axis_derivative
 # relative residual at which the top Ritz value q(alpha)^2 is accepted
 RITZ_RTOL = 1e-8
 
+# the scan set of run_bounds_suite: contraction shifts, relative-bound
+# epsilons, the graph-norm shift and the probe count
+SUITE_ALPHAS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+SUITE_EPSILONS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
+SUITE_GRAPH_ALPHA = 10.0
+SUITE_PROBES = 64
+
 # grid points per stacked probe block (64 KiB of complex values), so a block
 # stays cache-sized and below glibc's 128 KiB mmap threshold: 8192-point
 # blocks raised a pulse-1d probe process's peak memory above a study's
@@ -73,10 +80,9 @@ class CouplingOperator:
         return cls(grid, dict(b_axes), b_sq, v)
 
     @classmethod
-    def explicit(cls, grid: Grid, b_axes: dict | None = None, b_sq=0.0,
-                 v=None) -> "CouplingOperator":
-        return cls(grid, dict(b_axes or {}), b_sq,
-                   np.zeros(grid.shape) if v is None else v)
+    def explicit(cls, grid: Grid, b_axes: dict | None = None,
+                 b_sq=0.0) -> "CouplingOperator":
+        return cls(grid, dict(b_axes or {}), b_sq, np.zeros(grid.shape))
 
     @cached_property
     def diagonal(self):
@@ -239,14 +245,13 @@ def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def probe_ensemble(grid: Grid, count: int, seed: int,
-                   kind: str = "mixed") -> list[WaveFunction]:
+def probe_ensemble(grid: Grid, count: int, seed: int) -> list[WaveFunction]:
     """Reproducible probe states: Gaussians with random boosts + band noise."""
     rng = np.random.default_rng(seed)
     probes: list[WaveFunction] = []
     scale = np.sqrt(grid.cell_volume)
     for idx in range(count):
-        if kind == "mixed" and idx % 2 == 1:
+        if idx % 2 == 1:
             cutoff = max(2, min(grid.shape) // 4)
             coeff = np.zeros(grid.shape, dtype=complex)
             sel = tuple(slice(0, cutoff) for _ in range(grid.dim))
@@ -331,20 +336,16 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def run_bounds_suite(spec: HamiltonianSpec, t: float, grid: Grid, seed: int,
-                     alphas: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
-                     epsilons: Sequence[float] = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0),
-                     graph_alpha: float = 10.0,
-                     probe_count: int = 64) -> BoundsReport:
+def run_bounds_suite(spec: HamiltonianSpec, t: float, grid: Grid, seed: int) -> BoundsReport:
     """Full scan set against one generator at one time."""
     w_op = CouplingOperator.from_spec(spec, t, grid)
-    alpha_arr, q, alpha_star = contraction_scan(w_op, alphas, seed=seed)
-    probes = probe_ensemble(grid, probe_count, seed)
-    c_eps = infinitesimal_bound_scan(w_op, epsilons, probes)
-    interval = graph_norm_constants(spec, t, graph_alpha, probes)
+    alpha_arr, q, alpha_star = contraction_scan(w_op, SUITE_ALPHAS, seed=seed)
+    probes = probe_ensemble(grid, SUITE_PROBES, seed)
+    c_eps = infinitesimal_bound_scan(w_op, SUITE_EPSILONS, probes)
+    interval = graph_norm_constants(spec, t, SUITE_GRAPH_ALPHA, probes)
     return BoundsReport(
         alphas=list(alpha_arr), q_values=list(q), alpha_star=alpha_star,
-        epsilons=list(epsilons), c_eps=list(c_eps), graph_alpha=graph_alpha,
+        epsilons=list(SUITE_EPSILONS), c_eps=list(c_eps), graph_alpha=SUITE_GRAPH_ALPHA,
         graph_interval=interval,
-        probe_description=f"mixed gaussian/band-limited ensemble, {probe_count} probes",
+        probe_description=f"mixed gaussian/band-limited ensemble, {SUITE_PROBES} probes",
         seed=seed, grid_shape=grid.shape, grid_lengths=grid.lengths)

@@ -111,7 +111,7 @@ def _bound_from_samples(nodes: np.ndarray, g_values: np.ndarray, panels: int):
 
 def dipole_node_trajectory(spec_inf: HamiltonianSpec, fields: list[ScaledField],
                            psi0: WaveFunction, t0: float, t: float, panels: int,
-                           dt: float | None = None):
+                           dt: float):
     """Dipole evolution through the fine Simpson nodes (2*panels panels).
 
     g(s) is evaluated for each of the fields as the run passes each node, so
@@ -121,8 +121,6 @@ def dipole_node_trajectory(spec_inf: HamiltonianSpec, fields: list[ScaledField],
     """
     nodes, _ = simpson_weights(2 * panels, t0, t)
     spacing = nodes[1] - nodes[0]
-    if dt is None:
-        dt = spacing / 4.0
     substeps = int(round(spacing / dt))
     if substeps < 1 or abs(substeps * dt - spacing) > 1e-9 * max(1.0, spacing):
         raise ConfigError("dt must divide the Simpson node spacing")

@@ -295,13 +295,11 @@ def snap_lambda(box_length: float, m: int) -> float:
 class DivergenceReport:
     max_defect: float
     commensurate: bool
-    times: tuple
     warning: str = ""
 
 
-def check_divergence_free(env: LaserEnvelope, grid, times=(0.0, 0.9),
-                          lam: float = 1.0) -> DivergenceReport:
-    """Max |spectral divergence| of a(./lam, t) sampled on the grid.
+def check_divergence_free(env: LaserEnvelope, grid, lam: float = 1.0) -> DivergenceReport:
+    """Max |spectral divergence| of a(./lam, t) sampled on the grid at t = 0, 0.9.
 
     Non-commensurate configurations are reported with a warning flag rather
     than rejected; wrap-around discontinuities then pollute the spectral
@@ -312,7 +310,7 @@ def check_divergence_free(env: LaserEnvelope, grid, times=(0.0, 0.9),
     commensurate = is_commensurate(env, grid, lam)
     fld = ScaledField(env, lam, 1.0)  # at omega = 1, b is a itself
     max_defect = 0.0
-    for t in times:
+    for t in (0.0, 0.9):
         div = np.zeros(grid.shape)
         for axis, b in coupling_arrays(fld, t, grid)[0]:
             # b may only broadcast against the grid (in-plane b is (nx, 1));
@@ -322,7 +320,7 @@ def check_divergence_free(env: LaserEnvelope, grid, times=(0.0, 0.9),
         max_defect = max(max_defect, float(np.max(np.abs(div))))
     warning = "" if commensurate else "grid not commensurate with envelope period"
     return DivergenceReport(max_defect=max_defect, commensurate=commensurate,
-                            times=tuple(times), warning=warning)
+                            warning=warning)
 
 
 def grid_components(vec: np.ndarray, grid) -> np.ndarray:

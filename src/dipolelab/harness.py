@@ -52,7 +52,51 @@ MAX_STEPS = 2 ** 20
 # the gauge check compares the two gauges at this many equal intervals
 GAUGE_MARKS = 16
 
-_SECTION_ORDER = ("grid", "field", "potential", "run")
+# value kind -> (INI text of a field value, field value of an INI text)
+_INI_KINDS = {
+    "int": (str, int),
+    "float": (repr, float),
+    "text": (str, str.strip),
+    "int list": (lambda v: ", ".join(map(str, v)),
+                 lambda text: tuple(map(int, text.split(",")))),
+    "float list": (lambda v: ", ".join(map(repr, v)),
+                   lambda text: tuple(map(float, text.split(",")))),
+    "float or auto": (lambda v: "auto" if v is None else repr(v),
+                      lambda text: None if text == "auto" else float(text)),
+}
+
+# (section, key, StudyConfig field, value kind, required): every INI key, in
+# section order; a key that is not required falls back to the field's default
+_INI_KEYS = (
+    ("grid", "dim", "grid_dim", "int", True),
+    ("grid", "points", "grid_points", "int list", True),
+    ("grid", "lengths", "grid_lengths", "float list", True),
+    ("grid", "particles", "particles", "int", False),
+    ("field", "kind", "envelope_kind", "text", True),
+    ("field", "amplitude", "amplitude", "float", True),
+    ("field", "polarization", "polarization", "text", False),
+    ("field", "omega", "omega", "float", True),
+    ("field", "lambdas", "lambdas", "float list", True),
+    ("potential", "kind", "potential_kind", "text", True),
+    ("potential", "z", "potential_z", "float", False),
+    ("potential", "eps", "potential_eps", "float", False),
+    ("potential", "depth", "potential_depth", "float", False),
+    ("potential", "width", "potential_width", "float", False),
+    ("run", "preset", "preset", "text", False),
+    ("run", "t0", "t0", "float or auto", False),
+    ("run", "t_final", "t_final", "float or auto", False),
+    ("run", "dt", "dt", "float", True),
+    ("run", "panels", "panels", "int", True),
+    ("run", "initial_state", "initial_state", "text", False),
+    ("run", "ground_tol", "ground_tol", "float", False),
+    ("run", "packet_sigma", "packet_sigma", "float", False),
+    ("run", "packet_center", "packet_center", "float", False),
+    ("run", "packet_momentum", "packet_momentum", "float", False),
+    ("run", "krylov_m", "krylov_m", "int", False),
+    ("run", "krylov_tol", "krylov_tol", "float", False),
+    ("run", "seed", "seed", "int", False),
+)
+_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _INI_KEYS))
 
 
 @dataclass
@@ -206,49 +250,13 @@ class StudyConfig:
     # -- serialization ----------------------------------------------------
 
     def canonical_text(self) -> str:
-        sections = {
-            "grid": {
-                "dim": str(self.grid_dim),
-                "points": ", ".join(str(p) for p in self.grid_points),
-                "lengths": ", ".join(repr(l) for l in self.grid_lengths),
-                "particles": str(self.particles),
-            },
-            "field": {
-                "kind": self.envelope_kind,
-                "amplitude": repr(self.amplitude),
-                "polarization": self.polarization,
-                "omega": repr(self.omega),
-                "lambdas": ", ".join(repr(l) for l in self.lambdas),
-            },
-            "potential": {
-                "kind": self.potential_kind,
-                "z": repr(self.potential_z),
-                "eps": repr(self.potential_eps),
-                "depth": repr(self.potential_depth),
-                "width": repr(self.potential_width),
-            },
-            "run": {
-                "preset": self.preset,
-                "t0": "auto" if self.t0 is None else repr(self.t0),
-                "t_final": "auto" if self.t_final is None else repr(self.t_final),
-                "dt": repr(self.dt),
-                "panels": str(self.panels),
-                "initial_state": self.initial_state,
-                "ground_tol": repr(self.ground_tol),
-                "packet_sigma": repr(self.packet_sigma),
-                "packet_center": repr(self.packet_center),
-                "packet_momentum": repr(self.packet_momentum),
-                "krylov_m": str(self.krylov_m),
-                "krylov_tol": repr(self.krylov_tol),
-                "seed": str(self.seed),
-            },
-        }
         lines = []
-        for name in _SECTION_ORDER:
+        for name in _SECTIONS:
             lines.append(f"[{name}]")
             # from_ini reads through ConfigParser interpolation, which reads %% as %
-            lines.extend(f"{key} = {value.replace('%', '%%')}"
-                         for key, value in sorted(sections[name].items()))
+            lines.extend(
+                f"{key} = {_INI_KINDS[kind][0](getattr(self, field)).replace('%', '%%')}"
+                for section, key, field, kind, _ in sorted(_INI_KEYS) if section == name)
             lines.append("")
         return "\n".join(lines) + "\n"
 
@@ -264,44 +272,20 @@ class StudyConfig:
         try:
             if not cp.read(path):
                 raise ConfigError(f"cannot read config file {path}")
-            # required keys go through cp.get*(section, key), which raises when
-            # the key is missing; a section's get* returns None instead
-            grid = cp["grid"]
-            fld = cp["field"]
-            pot = cp["potential"]
-            run = cp["run"]
-            t0 = run.get("t0", "auto")
-            t_final = run.get("t_final", "auto")
-            return cls(
-                preset=run.get("preset", "custom"),
-                grid_dim=cp.getint("grid", "dim"),
-                grid_points=tuple(int(x) for x in grid["points"].split(",")),
-                grid_lengths=tuple(float(x) for x in grid["lengths"].split(",")),
-                particles=grid.getint("particles", 1),
-                envelope_kind=fld["kind"].strip(),
-                amplitude=cp.getfloat("field", "amplitude"),
-                polarization=fld.get("polarization", "out_of_plane"),
-                omega=cp.getfloat("field", "omega"),
-                lambdas=tuple(float(x) for x in fld["lambdas"].split(",")),
-                potential_kind=pot["kind"].strip(),
-                potential_z=pot.getfloat("z", 1.0),
-                potential_eps=pot.getfloat("eps", 1.0),
-                potential_depth=pot.getfloat("depth", 1.0),
-                potential_width=pot.getfloat("width", 1.0),
-                t0=None if t0 == "auto" else float(t0),
-                t_final=None if t_final == "auto" else float(t_final),
-                dt=cp.getfloat("run", "dt"),
-                panels=cp.getint("run", "panels"),
-                initial_state=run.get("initial_state", "ground"),
-                ground_tol=run.getfloat("ground_tol", 1e-8),
-                packet_sigma=run.getfloat("packet_sigma", 1.5),
-                packet_center=run.getfloat("packet_center", 0.0),
-                packet_momentum=run.getfloat("packet_momentum", 0.0),
-                krylov_m=run.getint("krylov_m", 24),
-                krylov_tol=run.getfloat("krylov_tol", 1e-10),
-                seed=run.getint("seed", 20240901),
-            )
-        except (configparser.Error, KeyError, ValueError) as exc:
+            # a [DEFAULT] key would reach every section, so it is unknown too
+            known = {(section, key) for section, key, *_ in _INI_KEYS}
+            for section in (cp.default_section, *cp.sections()):
+                if section not in (cp.default_section, *_SECTIONS):
+                    raise ConfigError(f"bad config file {path}: unknown section [{section}]")
+                for key in cp[section]:
+                    if (section, key) not in known:
+                        raise ConfigError(
+                            f"bad config file {path}: unknown key {key!r} in [{section}]")
+            # a missing required key raises from cp.get
+            return cls(**{field: _INI_KINDS[kind][1](cp.get(section, key))
+                          for section, key, field, kind, required in _INI_KEYS
+                          if required or cp.has_option(section, key)})
+        except (configparser.Error, ValueError) as exc:
             # parser messages span lines; the CLI reports one line
             detail = " ".join(str(exc).split())
             raise ConfigError(f"bad config file {path}: {detail}") from exc
@@ -420,11 +404,9 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
         partial=any(r.diagnostic for r in records))
 
 
-def run_cook_comparison(config: StudyConfig,
-                        sweep: SweepResult | None = None) -> list[CookReport]:
+def run_cook_comparison(config: StudyConfig) -> list[CookReport]:
     """B(lam) vs e(lam) reports across the sweep."""
-    if sweep is None:
-        sweep = run_convergence_sweep(config)
+    sweep = run_convergence_sweep(config)
     _, weights = simpson_weights(2 * config.panels, sweep.nodes[0], sweep.nodes[-1])
     reports = []
     for rec in sweep.records:
@@ -441,10 +423,11 @@ def run_cook_comparison(config: StudyConfig,
     return reports
 
 
-def run_gauge_check(config: StudyConfig, lam: float | None = None,
-                    omega_length: float | None = None) -> dict:
+def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> dict:
     """Velocity-gauge vs mapped length-gauge fidelity at the sample times.
 
+    The velocity run keeps its marks; the length run compares each of its
+    marks as it passes, so only one trajectory's marks are held at once.
     omega_length deliberately detunes the length-gauge field (negative-control
     fixture); the default uses the config's omega on both sides.
     """
@@ -454,7 +437,7 @@ def run_gauge_check(config: StudyConfig, lam: float | None = None,
     potential = config.build_potential()
     psi0, _ = config.build_initial_state(grid)
     t0, t_final = config.start_time, config.final_time
-    lam = config.lambdas[0] if lam is None else lam
+    lam = config.lambdas[0]
 
     fld_v = ScaledField(env, lam, config.omega)
     fld_l = ScaledField(env, lam, config.omega if omega_length is None else omega_length)
@@ -463,21 +446,19 @@ def run_gauge_check(config: StudyConfig, lam: float | None = None,
 
     span = t_final - t0
     sample = tuple(t0 + span * j / GAUGE_MARKS for j in range(GAUGE_MARKS + 1))
-    stepper = lambda: StepperConfig(dt=config.dt, t0=t0, t_final=t_final,
-                                    method=SPLIT, store_states=True,
-                                    sample_times=sample)
-    traj_v = evolve(spec_v, psi0, stepper())
-    psi0_l = velocity_to_length(psi0, fld_l, t0)
-    traj_l = evolve(spec_l, psi0_l, stepper())
+    stepper = lambda store: StepperConfig(dt=config.dt, t0=t0, t_final=t_final,
+                                          method=SPLIT, store_states=store,
+                                          sample_times=sample)
+    traj_v = evolve(spec_v, psi0, stepper(True))
+    marks = iter(traj_v.states)
+    fidelities, reverse = [], []
 
-    fidelities = []
-    for t, sv, sl in zip(traj_v.times, traj_v.states, traj_l.states):
-        mapped = velocity_to_length(sv, fld_l, t)
-        fidelities.append(phase_fidelity(mapped, sl))
-    reverse = []
-    for t, sv, sl in zip(traj_v.times, traj_v.states, traj_l.states):
-        unmapped = length_to_velocity(sl, fld_l, t)
-        reverse.append(phase_fidelity(unmapped, sv))
+    def compare(t: float, sl: WaveFunction) -> None:
+        sv = next(marks)
+        fidelities.append(phase_fidelity(velocity_to_length(sv, fld_l, t), sl))
+        reverse.append(phase_fidelity(length_to_velocity(sl, fld_l, t), sv))
+
+    evolve(spec_l, velocity_to_length(psi0, fld_l, t0), stepper(False), on_sample=compare)
     return {
         "lambda": lam,
         "omega_velocity": config.omega,

@@ -81,8 +81,7 @@ class Grid:
         return out
 
 
-def make_grid(dim: int, points, lengths, particles: int = 1,
-              memory_cap: int = MEMORY_CAP_POINTS) -> Grid:
+def make_grid(dim: int, points, lengths, particles: int = 1) -> Grid:
     """Validated grid constructor: powers of two, >= 8 points per axis."""
     if isinstance(points, (int, np.integer)):
         points = [int(points)] * dim
@@ -105,8 +104,9 @@ def make_grid(dim: int, points, lengths, particles: int = 1,
     if particles < 1 or dim % particles != 0:
         raise ConfigError("particle count must divide the grid dimension")
     total = int(np.prod(points))
-    if total > memory_cap:
-        raise ConfigError(f"grid of {total} points exceeds the memory cap {memory_cap}")
+    if total > MEMORY_CAP_POINTS:
+        raise ConfigError(
+            f"grid of {total} points exceeds the memory cap {MEMORY_CAP_POINTS}")
     return Grid(shape=tuple(points), lengths=tuple(lengths), particles=particles)
 
 
@@ -230,7 +230,7 @@ def write_snapshot(path, psi: WaveFunction) -> None:
         fh.write(inter.astype("<f8").tobytes(order="C"))
 
 
-def read_snapshot(path, particles: int = 1) -> WaveFunction:
+def read_snapshot(path) -> WaveFunction:
     """Inverse of write_snapshot; a malformed or oversized file is a ConfigError."""
 
     def take(fh, size: int) -> bytes:
@@ -257,5 +257,5 @@ def read_snapshot(path, particles: int = 1) -> WaveFunction:
             raise ConfigError(
                 f"snapshot of {n} points exceeds the memory cap {MEMORY_CAP_POINTS}")
         raw = np.frombuffer(take(fh, 16 * n), dtype="<f8").reshape(shape + (2,))
-    grid = Grid(shape=tuple(shape), lengths=tuple(lengths), particles=particles)
+    grid = Grid(shape=tuple(shape), lengths=tuple(lengths))
     return WaveFunction(grid, raw[..., 0] + 1j * raw[..., 1])

@@ -72,9 +72,8 @@ def dense_oracle_operators():
     x, y = g2.mesh(0), g2.mesh(1)
     bx = 0.6 * np.sin(2 * np.pi * x / 8.0) + 0.2 * np.cos(2 * np.pi * y / 6.0)
     by = 0.3 * np.cos(2 * np.pi * x / 8.0)
-    yield bounds.CouplingOperator.explicit(g2, b_axes={0: bx, 1: by},
-                                           b_sq=bx ** 2 + by ** 2,
-                                           v=-1.0 / np.sqrt(1.0 + x ** 2 + y ** 2))
+    yield bounds.CouplingOperator(g2, {0: bx, 1: by}, bx ** 2 + by ** 2,
+                                  -1.0 / np.sqrt(1.0 + x ** 2 + y ** 2))
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["soft-core-1d", "in-plane-2d"])
@@ -115,7 +114,7 @@ def test_contraction_restart_cap_raises(monkeypatch):
 
 def test_contraction_overflow_is_a_numerical_error():
     g = spatial.make_grid(1, 64, 10.0)
-    w = bounds.CouplingOperator.explicit(g, v=np.full(g.shape, 1e200))
+    w = bounds.CouplingOperator(g, {}, 0.0, np.full(g.shape, 1e200))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalError, match="non-finite") as info:
@@ -148,8 +147,7 @@ def test_adjoint_identity():
     g = spatial.make_grid(1, 128, 16.0)
     x = g.mesh(0)
     b_var = 0.5 * np.sin(2 * np.pi * x / 16.0)   # x-dependent drift, div != 0
-    w = bounds.CouplingOperator.explicit(g, b_axes={0: b_var}, b_sq=0.3,
-                                         v=0.1 * np.cos(2 * np.pi * x / 16.0))
+    w = bounds.CouplingOperator(g, {0: b_var}, 0.3, 0.1 * np.cos(2 * np.pi * x / 16.0))
     rng = np.random.default_rng(5)
     phi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     psi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -162,7 +160,7 @@ def test_infinitesimal_bound_bounded_multiplication():
     g = spatial.make_grid(1, 256, 20.0)
     x = g.mesh(0)
     v = -0.7 * np.exp(-x ** 2 / 8.0)   # ||V||_inf = 0.7
-    w = bounds.CouplingOperator.explicit(g, v=v)
+    w = bounds.CouplingOperator(g, {}, 0.0, v)
     probes = bounds.probe_ensemble(g, 64, seed=3)
     eps = [0.0, 0.01, 0.05, 0.1, 0.5, 1.0]
     c = bounds.infinitesimal_bound_scan(w, eps, probes)
@@ -229,10 +227,8 @@ def test_bounds_suite_reproducible():
     fld = fields.ScaledField(env, 10.0, 1.0)
     spec = ham.dipole_velocity(fld, ham.soft_core_coulomb(1.0, 1.0))
     g = spatial.make_grid(1, 256, 40.0)
-    rep1 = bounds.run_bounds_suite(spec, 0.1, g, seed=33,
-                                   alphas=(1.0, 10.0, 100.0))
-    rep2 = bounds.run_bounds_suite(spec, 0.1, g, seed=33,
-                                   alphas=(1.0, 10.0, 100.0))
+    rep1 = bounds.run_bounds_suite(spec, 0.1, g, seed=33)
+    rep2 = bounds.run_bounds_suite(spec, 0.1, g, seed=33)
     assert rep1.to_json_dict() == rep2.to_json_dict()
     payload = json.loads(json.dumps(rep1.to_json_dict()))
     assert payload["seed"] == 33

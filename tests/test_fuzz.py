@@ -89,12 +89,18 @@ def test_fuzz_bounds_cli(changes):
     check_cli("bounds", changes)
 
 
+# A misspelled key, or any key under [DEFAULT], once ran silently at the
+# default value; such a file exits 1.
 @FUZZ
 @given(edits)
 @example([(("field", "amplitude"), "1e308")])
 @example([(("field", "lambdas"), "5e-324")])
+@example([(("run", "krylov_tl"), "1e-06")])
+@example([(("DEFAULT", "seed"), "3")])
 def test_fuzz_field_check_cli(changes):
-    check_cli("field-check", changes)
+    code, lines = check_cli("field-check", changes)
+    if any(place not in INI_KEYS for place, _ in changes):
+        assert code == 1 and "unknown key" in lines[0]
 
 
 # t_final 1e308 made the step count (t_final - t0) / dt infinite, and evolve

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import tracemalloc
 from dataclasses import replace
@@ -147,6 +148,59 @@ def test_canonical_text_matches_the_configparser_construction(tmp_path):
     assert harness.preset_config("two-body-1d").config_hash() == "3d79045a7490c082"
 
 
+def test_ini_table_lists_every_field_once():
+    # threads is a CLI flag, not part of a study's identity
+    table = [field for _, _, field, _, _ in harness._INI_KEYS]
+    assert sorted(table) == sorted(f.name for f in dataclasses.fields(harness.StudyConfig)
+                                   if f.name != "threads")
+    keys = [(section, key) for section, key, *_ in harness._INI_KEYS]
+    assert len(set(keys)) == len(keys)
+
+
+def test_ini_optional_keys_fall_back_to_the_field_defaults(tmp_path):
+    cfg = trimmed_config(t0=0.5, packet_sigma=2.5, seed=0)
+    required = {(section, key): field for section, key, field, _, needed
+                in harness._INI_KEYS if needed}
+    full, cp = configparser.ConfigParser(), configparser.ConfigParser()
+    full.read_string(cfg.canonical_text())
+    cp.read_dict({section: {key: full.get(section, key, raw=True)
+                            for s, key in required if s == section}
+                  for section in full.sections()})
+    path = tmp_path / "required.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    expected = harness.StudyConfig(**{field: getattr(cfg, field)
+                                      for field in required.values()})
+    assert harness.StudyConfig.from_ini(path) == expected
+    # each required key is required
+    for section, key in required:
+        cp.remove_option(section, key)
+        with open(path, "w") as fh:
+            cp.write(fh)
+        with pytest.raises(ConfigError, match=key):
+            harness.StudyConfig.from_ini(path)
+        cp[section][key] = full.get(section, key, raw=True)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text.replace("[run]\n", "[run]\nkrylov_tl = 1e-06\n"), "'krylov_tl' in [run]"),
+    (lambda text: text + "[grids]\ndim = 2\n", "[grids]"),
+    (lambda text: text + "[grids]\n", "[grids]"),
+    (lambda text: "[DEFAULT]\nseed = 3\n" + text, "'seed' in [DEFAULT]"),
+    (lambda text: text.replace("[field]\n", "[field]\nlambda = 20.0\n"), "'lambda' in [field]"),
+], ids=["misspelled-run-key", "extra-section", "extra-empty-section",
+        "default-section-key", "field-key-typo"])
+def test_cli_unknown_ini_key_or_section_exits_1(tmp_path, capsys, edit, named):
+    # an unknown key was once ignored: a misspelled krylov_tol ran at its default
+    ini = tmp_path / "study.ini"
+    ini.write_text(edit(trimmed_config().canonical_text()))
+    out = tmp_path / "out"
+    assert cli.main(["field-check", "--config", str(ini), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:") and named in lines[0]
+    assert not out.exists()
+
+
 def test_cli_percent_in_a_string_field(tmp_path, capsys):
     # the canonical text once went through a ConfigParser, whose interpolation
     # check leaked a ValueError traceback for a literal '%'
@@ -206,12 +260,11 @@ def test_sweep_records_only_numerical_failures(monkeypatch):
 
 def test_cook_comparison_reports():
     cfg = trimmed_config()
-    sweep = harness.run_convergence_sweep(cfg)
-    reports = harness.run_cook_comparison(cfg, sweep)
+    reports = harness.run_cook_comparison(cfg)
     assert [r.lam for r in reports] == list(cfg.lambdas)
     for rep in reports:
         assert rep.measured_error <= 1.05 * rep.bound + 1e-6
-        assert len(rep.g_values) == len(sweep.nodes)
+        assert len(rep.g_values) == len(rep.nodes)
 
 
 def test_gauge_check_and_negative_control():
@@ -226,6 +279,24 @@ def test_gauge_check_and_negative_control():
                            t_final=np.pi / 512 + 2 * np.pi)
     detuned = harness.run_gauge_check(cfg2d, omega_length=1.5)
     assert detuned["min_fidelity"] < 0.99
+
+
+def test_gauge_check_holds_one_trajectorys_marks():
+    # the length-gauge run compares each mark as it passes it; with both
+    # runs' 17 marks stored the peak was about 41 states
+    dt = np.pi / 512
+    cfg = trimmed_config(grid_dim=2, grid_points=(32, 32), grid_lengths=(32.0, 32.0),
+                         lambdas=(32.0,), initial_state="packet", packet_sigma=3.0,
+                         t_final=dt + 64 * dt, dt=dt, panels=4)
+    harness.run_gauge_check(cfg)   # fills the module caches
+    tracemalloc.start()
+    try:
+        report = harness.run_gauge_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report["fidelity_forward"]) == len(report["fidelity_reverse"]) == 17
+    assert peak < 30 * 32 * 32 * 16
 
 
 def test_run_study_artifacts(tmp_path):
