@@ -96,18 +96,13 @@ def profile_value(kind: str, u):
     raise ConfigError(f"unknown envelope kind {kind!r}")
 
 
-def profile_derivative(kind: str, u, order: int = 1):
-    """d^order f / du^order, closed form; vectorized over u."""
+def profile_derivative(kind: str, u):
+    """df/du, closed form; vectorized over u."""
     u = np.asarray(u, dtype=float)
-    if order not in (1, 2):
-        raise ConfigError(f"derivative order must be 1 or 2, got {order}")
     if kind == CW:
-        return np.cos(u) if order == 1 else -np.sin(u)
+        return np.cos(u)
     if kind == PULSE:
-        g = np.exp(-u * u)
-        if order == 1:
-            return g * np.cos(u)
-        return -g * (2.0 * u * np.cos(u) + np.sin(u))
+        return np.exp(-u * u) * np.cos(u)
     if kind == ZERO:
         return np.zeros_like(u)
     raise ConfigError(f"unknown envelope kind {kind!r}")
@@ -254,7 +249,6 @@ class ScaledField:
 class TransversalityReport:
     defect: float
     passed: bool
-    tol: float = UNIT_TOL
 
 
 def check_transversality(env: LaserEnvelope) -> TransversalityReport:

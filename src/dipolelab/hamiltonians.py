@@ -10,12 +10,15 @@ Three generator kinds:
   dipole_length   -Laplacian + V + da/dt(0, omega t).r
 
 expanded in Coulomb gauge as -Lap + 2i b.grad + |b|^2 + V, with b sampled by
-``fields.coupling_arrays``.  The dipole coupling is constant in space, so its
-gradient term folds into the kinetic symbol as -2 b.k; the full coupling adds
-one gradient transform per coupled axis.  Vector components of b beyond the
-grid dimension (transverse geometries) cannot act through the gradient; they
-contribute through |b|^2 only, which is exactly the reduction of the
-transverse-momentum zero sector.
+``fields.coupling_arrays``.  ``generator_terms`` is the one map from a kind
+to operator pieces: a momentum-space symbol, a diagonal and gradient terms.
+The dipole coupling is constant in space, so all of it folds into the symbol
+as (k - b)^2 + |b_offgrid|^2; the full coupling puts |b|^2 on the diagonal
+and adds one gradient transform per coupled axis.  Vector components of b
+beyond the grid dimension (transverse geometries) cannot act through the
+gradient; they contribute through |b|^2 only, which is exactly the reduction
+of the transverse-momentum zero sector.  ``hamiltonian_apply_fn`` applies
+the pieces, and the split stepper of ``propagate`` exponentiates them.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def length_gauge_term(field: ScaledField, t: float, grid: Grid) -> np.ndarray:
     """(d/dt a)(0, omega t) . r  ==  -E(0,t) . r, on-grid components."""
     env = field.envelope
     # a(0, s) = E f(-s) eps_hat, so d/ds a(0, s) = -E f'(-s) eps_hat.
-    adot = -env.amplitude * float(profile_derivative(env.kind, -field.omega * t, 1))
+    adot = -env.amplitude * float(profile_derivative(env.kind, -field.omega * t))
     d = grid.per_particle_dim
     eps = grid_components(env.eps_hat, grid)
     term = np.zeros((1,) * grid.dim)
@@ -198,35 +201,49 @@ def length_gauge_term(field: ScaledField, t: float, grid: Grid) -> np.ndarray:
     return np.broadcast_to(term, grid.shape) if term.shape != grid.shape else term
 
 
+def generator_terms(spec: HamiltonianSpec, t: float, grid: Grid):
+    """(symbol, diagonal, grads) of H(t) = F^-1 symbol F + diagonal + sum_a g_a F^-1 ik_a F.
+
+    grads lists (g, ik) = (2i b, i k) per on-grid axis of the full coupling.
+    Spatially constant couplings fold into the symbol, the whole dipole
+    velocity coupling (k - b(0,t))^2 + |b_offgrid|^2 included.  The diagonal
+    is the cached ``potential_on_grid`` array itself unless a term joins it
+    (|b(r,t)|^2 of the full coupling, E.r with on-grid polarization), so a
+    caller can tell a fixed factor by identity.
+    """
+    v = potential_on_grid(spec.potential, grid)
+    sym = grid.k_square
+    grads = []
+    if spec.kind == DIPOLE_LENGTH:
+        if np.any(grid_components(spec.field.envelope.eps_hat, grid)):
+            v = v + length_gauge_term(spec.field, t, grid)
+        return sym, v, grads
+    dipole = spec.kind == DIPOLE_VELOCITY
+    if not dipole and not is_commensurate(spec.field.envelope, grid, spec.field.lam):
+        raise ConfigError("full-coupling generator requires a commensurate field on the grid")
+    b_axes, b_sq = coupling_arrays(spec.field, t, grid, dipole=dipole)
+    if dipole:
+        sym = sym + b_sq
+        for axis, b in b_axes:
+            sym = sym - 2.0 * b * grid.k_mesh(axis)
+    else:
+        v = v + b_sq
+        grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in b_axes]
+    return sym, v, grads
+
+
 def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
                          grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    """Closure applying H(t) to raw value arrays; field data frozen at t."""
-    v = potential_on_grid(spec.potential, grid)
+    """Closure applying H(t) to raw value arrays; the ``generator_terms`` at t."""
+    sym, diag, grads = generator_terms(spec, t, grid)
     forward, inverse = fourier_pair(grid)
-    sym = grid.k_square
-    grads = []  # (2i b, i k) per coupled axis: the term 2i b d/dx
-    if spec.kind == DIPOLE_LENGTH:
-        v_eff = v + length_gauge_term(spec.field, t, grid)
-    else:
-        dipole = spec.kind == DIPOLE_VELOCITY
-        if not dipole and not is_commensurate(spec.field.envelope, grid,
-                                              spec.field.lam):
-            raise ConfigError(
-                "full-coupling generator requires a commensurate field on the grid")
-        b_axes, b_sq = coupling_arrays(spec.field, t, grid, dipole=dipole)
-        v_eff = v + b_sq
-        for axis, b in b_axes:
-            if dipole:
-                sym = sym - 2.0 * b * grid.k_mesh(axis)
-            else:
-                grads.append((2j * b, 1j * grid.k_mesh(axis)))
 
     def apply(values: np.ndarray) -> np.ndarray:
         vhat = forward(values)
         out = inverse(sym * vhat)
-        out += v_eff * values
-        for two_ib, ik in grads:
-            out += two_ib * inverse(vhat * ik)
+        out += diag * values
+        for g, ik in grads:
+            out += g * inverse(vhat * ik)
         return out
 
     return apply

@@ -395,7 +395,6 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
             records = list(pool.map(one_lambda, fields, g_table))
     else:
         records = [one_lambda(fld, g) for fld, g in zip(fields, g_table)]
-    records.sort(key=lambda r: r.lam)
 
     return SweepResult(
         config=config, records=records, slope=_fit_decay_slope(records),

@@ -2,9 +2,12 @@
 
 All steppers freeze the time-dependent generator at the step midpoint
 (order-2 Magnus truncation), so both exhibit second-order self-convergence in
-dt.  The split stepper handles the dipole generators, whose kinetic factor is
-diagonal in momentum space with shifted symbol (k - b(t_mid))^2; the Krylov
-stepper exponentiates any Hermitian generator, including the full coupling.
+dt.  Both read the generator's terms from ``hamiltonians.generator_terms``.
+The split stepper is one Strang step for any generator without gradient
+terms, a symbol diagonal in momentum space plus a diagonal in position space:
+the dipole kinds in any geometry and the full kind with off-grid
+polarization.  The Krylov stepper exponentiates any Hermitian generator
+through ``hamiltonian_apply_fn``, the in-plane full coupling included.
 One Lanczos recurrence serves the Krylov step and the one restarted-Lanczos
 extremal eigensolver, which finds the ground state (the top eigenpair of -H)
 and the contraction constants of the bounds module.
@@ -18,10 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .fields import coupling_arrays, grid_components
-from .hamiltonians import (DIPOLE_VELOCITY, FULL, HamiltonianSpec, ZERO_POTENTIAL,
-                           hamiltonian_apply_fn, hermiticity_defect,
-                           length_gauge_term, potential_on_grid)
+from .fields import ScaledField, zero_envelope
+from .hamiltonians import (HamiltonianSpec, ZERO_POTENTIAL, dipole_length, generator_terms,
+                           hamiltonian_apply_fn, hermiticity_defect)
+from .hamiltonians import potential_on_grid  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .spatial import Grid, WaveFunction, fourier_pair, normalize, norm
 
 SPLIT = "split"
@@ -88,43 +91,30 @@ class Trajectory:
 
 def _split_stepper(spec: HamiltonianSpec, grid: Grid,
                    dt: float) -> Callable[[np.ndarray, float], np.ndarray]:
-    """step(values, t_mid) for the dipole generators; exactly norm-preserving."""
-    if spec.kind == FULL:
-        raise ConfigError("split stepper handles dipole generators only")
-    v = potential_on_grid(spec.potential, grid)
-    k_sq = grid.k_square
+    """step(values, t_mid): the Strang step exp(-i dt/2 D) F^-1 exp(-i dt S) F exp(-i dt/2 D).
+
+    S and D are the symbol and diagonal of ``generator_terms`` at t_mid.  A
+    factor is exponentiated again only when its term is a new array, so fixed
+    terms are exponentiated once.  Exactly norm-preserving; generators with
+    gradient terms do not split into these two factors and are refused.
+    """
     forward, inverse = fourier_pair(grid)
+    sym = diag = kin = half_d = None
 
-    if spec.kind == DIPOLE_VELOCITY:
-        half_v = np.exp(-0.5j * dt * v)
-
-        def step(values: np.ndarray, t_mid: float) -> np.ndarray:
-            # symbol of (-i grad - b)^2 at constant b: (k - b)^2 + |b_offgrid|^2
-            b_axes, b_sq = coupling_arrays(spec.field, t_mid, grid, dipole=True)
-            sym = k_sq + b_sq
-            for axis, b in b_axes:
-                sym = sym - 2.0 * b * grid.k_mesh(axis)
-            kin = np.exp(-1j * dt * sym)
-            out = inverse(kin * forward(half_v * values))
-            out *= half_v
-            return out
-
-        return step
-
-    kin = np.exp(-1j * dt * k_sq)
-    # with no on-grid polarization E.r vanishes and the potential step is fixed
-    fixed_half_v = (None if np.any(grid_components(spec.field.envelope.eps_hat, grid))
-                    else np.exp(-0.5j * dt * v))
-
-    def step_length(values: np.ndarray, t_mid: float) -> np.ndarray:
-        half_v = fixed_half_v
-        if half_v is None:
-            half_v = np.exp(-0.5j * dt * (v + length_gauge_term(spec.field, t_mid, grid)))
-        out = inverse(kin * forward(half_v * values))
-        out *= half_v
+    def step(values: np.ndarray, t_mid: float) -> np.ndarray:
+        nonlocal sym, diag, kin, half_d
+        new_sym, new_diag, grads = generator_terms(spec, t_mid, grid)
+        if grads:
+            raise ConfigError("split stepper needs a generator without gradient terms")
+        if new_sym is not sym:
+            sym, kin = new_sym, np.exp(-1j * dt * new_sym)
+        if new_diag is not diag:
+            diag, half_d = new_diag, np.exp(-0.5j * dt * new_diag)
+        out = inverse(kin * forward(half_d * values))
+        out *= half_d
         return out
 
-    return step_length
+    return step
 
 
 def _lanczos(apply_fn, v0: np.ndarray, m: int, local: bool = False):
@@ -326,25 +316,13 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
     return traj
 
 
-def _field_free_apply(potential, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    v = potential_on_grid(potential, grid)
-    k_sq = grid.k_square
-    forward, inverse = fourier_pair(grid)
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        out = inverse(k_sq * forward(values))
-        out += v * values
-        return out
-
-    return apply
-
-
 def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8):
     """Lowest eigenpair of -Lap + V by restarted Lanczos from a Gaussian seed.
 
-    Returns (energy, psi) with ||H psi - E psi|| <= tol and psi normalized on
-    the grid.  The lowest pair of H is the top pair of -H.  For a Euclidean
-    unit vector the Lanczos residual equals the grid-norm residual of the
+    H = -Lap + V is applied as the zero-field length generator.  Returns
+    (energy, psi) with ||H psi - E psi|| <= tol and psi normalized on the
+    grid.  The lowest pair of H is the top pair of -H.  For a Euclidean unit
+    vector the Lanczos residual equals the grid-norm residual of the
     grid-normalized state, so tol is the solver's absolute stop.  The name is
     kept from a former imaginary-time relaxation ahead of the Lanczos solve,
     which only added cost; the acceptance suite and the benchmark tracer call
@@ -352,7 +330,8 @@ def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8):
     """
     if potential.kind == ZERO_POTENTIAL:
         raise ConfigError("free particle has no bound ground state")
-    apply_h = _field_free_apply(potential, grid)
+    field = ScaledField(zero_envelope(), 1.0, 1.0)
+    apply_h = hamiltonian_apply_fn(dipole_length(field, potential), 0.0, grid)
 
     sigma = max(1.0, 2.5 * max(grid.spacing))
     r2 = np.zeros(grid.shape)

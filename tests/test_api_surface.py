@@ -8,12 +8,12 @@ an imported name or an identifier-like string (``bench/tracing.py`` patches
 names given as strings).
 
 Likewise a parameter with a default, of a module-level function or a method,
-must be passed by keyword or by position by some call in those same files; a
-knob no caller turns is dead code.  Calls match by the called name alone.
+must be passed by keyword or by position by some call in those same files,
+with a value other than its default literal; a knob no caller turns is dead
+code.  Calls match by the called name alone.
 """
 
 import ast
-import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,7 +74,7 @@ def test_public_names_have_a_product_caller():
 
 
 def defaulted_parameters(tree: ast.Module):
-    """(function, parameter, position or None) for each defaulted parameter.
+    """(function, parameter, position or None, default) for each defaulted parameter.
 
     Covers module-level functions and the methods of module-level classes;
     a method's position leaves out self or cls.  Nested closures are skipped.
@@ -88,36 +88,58 @@ def defaulted_parameters(tree: ast.Module):
         args = fn.args
         positional = (args.posonlyargs + args.args)[int(bound):]
         first = len(positional) - len(args.defaults)
-        for index, arg in enumerate(positional[first:], start=first):
-            yield fn.name, arg.arg, index
+        for index, (arg, default) in enumerate(zip(positional[first:], args.defaults),
+                                               start=first):
+            yield fn.name, arg.arg, index, default
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield fn.name, arg.arg, None
+                yield fn.name, arg.arg, None, default
+
+
+def literal(node: ast.AST):
+    """(type, value) of a literal expression, or None for anything else."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return type(value), value
 
 
 def passed_arguments(trees) -> dict:
-    """Called name -> (keywords passed, most positional arguments) over all calls."""
+    """Called name -> [(positional argument nodes, {keyword: node})], one per call."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            keywords, count = calls.get(name, (set(), 0))
-            # a *args call may fill every position
-            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
-            calls[name] = (keywords | {kw.arg for kw in node.keywords},
-                           max(count, math.inf if starred else len(node.args)))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(
+                    (node.args, {kw.arg: kw.value for kw in node.keywords}))
     return calls
 
 
+def turns(call, param: str, index: int | None, default: ast.AST) -> bool:
+    """Whether one call passes param a value other than its default literal."""
+    args, keywords = call
+    if param in keywords:
+        value = keywords[param]
+    elif index is not None and any(isinstance(arg, ast.Starred) for arg in args[:index + 1]):
+        return True   # a *args call may fill the position with anything
+    elif index is not None and index < len(args):
+        value = args[index]
+    else:
+        return False
+    fixed = literal(default)
+    return fixed is None or literal(value) != fixed
+
+
 def test_defaulted_parameters_have_a_product_caller():
+    # a parameter that every product call passes only as its default literal
+    # is as dead as one no call passes
     calls = passed_arguments(ast.parse(path.read_text()) for path in PRODUCT_CALLERS)
     unpassed = set()
     for path in sorted((ROOT / "src" / "dipolelab").glob("*.py")):
-        for function, param, index in defaulted_parameters(ast.parse(path.read_text())):
-            keywords, count = calls.get(function, (set(), 0))
-            if param not in keywords and (index is None or count <= index):
+        for function, param, index, default in defaulted_parameters(ast.parse(path.read_text())):
+            if not any(turns(call, param, index, default) for call in calls.get(function, [])):
                 unpassed.add(f"{path.stem}.{function}.{param}")
     # a parameter on the allowlist that gains a caller leaves it
     assert unpassed == set(UNPASSED)

@@ -165,27 +165,18 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
 
 
 def test_envelope_dt_cw_at_origin():
-    # d/dt [E sin(-t)] = -E cos(t) -> -E at t=0; the second derivative vanishes
-    assert fields.profile_derivative(fields.CW, 0.0, 1) == 1.0
-    assert fields.profile_derivative(fields.CW, 0.0, 2) == 0.0
+    # d/dt [E sin(-t)] = -E cos(t) -> -E at t=0
+    assert fields.profile_derivative(fields.CW, 0.0) == 1.0
 
 
 def test_envelope_dt_zero_envelope():
     u = np.linspace(-3.0, 3.0, 7)
-    for order in (1, 2):
-        assert np.all(fields.profile_derivative(fields.ZERO, u, order) == 0.0)
+    assert np.all(fields.profile_derivative(fields.ZERO, u) == 0.0)
 
 
 def test_envelope_dt_pulse_at_origin():
-    # F'(u) = exp(-u^2) cos(u) and F''(0) = 0
-    assert fields.profile_derivative(fields.PULSE, 0.0, 1) == 1.0
-    assert fields.profile_derivative(fields.PULSE, 0.0, 2) == 0.0
-
-
-def test_envelope_dt_order_validation():
-    for order in (0, 3):
-        with pytest.raises(ConfigError):
-            fields.profile_derivative(fields.CW, 0.0, order)
+    # F'(u) = exp(-u^2) cos(u)
+    assert fields.profile_derivative(fields.PULSE, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("kind,make", [
@@ -201,12 +192,8 @@ def test_derivatives_match_finite_differences(kind, make):
             u = fields.ray_coordinate(env, x, t)
             fd1 = (fields.eval_envelope(env, x, t + h)
                    - fields.eval_envelope(env, x, t - h)) / (2 * h)
-            an1 = -env.amplitude * fields.profile_derivative(kind, u, 1) * env.eps_hat
+            an1 = -env.amplitude * fields.profile_derivative(kind, u) * env.eps_hat
             np.testing.assert_allclose(an1, fd1, rtol=1e-6, atol=1e-8)
-            fd2 = (fields.profile_derivative(kind, u + h, 1)
-                   - fields.profile_derivative(kind, u - h, 1)) / (2 * h)
-            an2 = fields.profile_derivative(kind, u, 2)
-            np.testing.assert_allclose(an2, fd2, rtol=1e-5, atol=1e-7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,7 +203,7 @@ def test_derivative_consistency_property(x, t):
     h = 1e-5
     fd = (fields.eval_envelope(env, x, t + h)
           - fields.eval_envelope(env, x, t - h)) / (2 * h)
-    an = -fields.profile_derivative(fields.PULSE, 2 * np.pi * x - t, 1) * env.eps_hat
+    an = -fields.profile_derivative(fields.PULSE, 2 * np.pi * x - t) * env.eps_hat
     np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -401,7 +388,7 @@ def test_pulse_extremum_matches_quadrature_oracle():
 
 def test_time_derivatives_uniformly_bounded():
     # hypothesis of the long-wavelength limit: sup |d^j/dt^j a^i| finite for
-    # j = 0, 1, 2 over a dense sample of (x, t)
+    # j = 0, 1 over a dense sample of (x, t)
     xs = np.linspace(-5, 5, 31)
     ts = np.linspace(-10, 10, 61)
     for env in (cw3(), fields.gaussian_pulse(1.0, EX, EY)):
@@ -410,9 +397,8 @@ def test_time_derivatives_uniformly_bounded():
             pos = np.array([x, 0.0, 0.0])
             u = fields.ray_coordinate(env, pos, ts[:, None])
             sup = max(sup, np.max(np.abs(fields.eval_envelope(env, pos, ts[:, None]))))
-            for order in (1, 2):
-                sup = max(sup, env.amplitude * np.max(np.abs(
-                    fields.profile_derivative(env.kind, u, order))))
+            sup = max(sup, env.amplitude * np.max(np.abs(
+                fields.profile_derivative(env.kind, u))))
         assert np.isfinite(sup)
         assert sup <= 3.0 * env.amplitude
 

@@ -39,12 +39,31 @@ def test_split_free_step_is_exact():
 
 
 def test_split_rejects_full_coupling():
-    g = spatial.make_grid(1, 64, 16.0)
-    env = fields.transverse_envelope("cw", 0.5, 1)
+    # in-plane polarization gives the full coupling gradient terms, which do
+    # not split into a momentum factor and a position factor
+    g = spatial.make_grid(2, [16, 16], [16.0, 16.0])
+    env = fields.in_plane_envelope("cw", 0.5)
     spec = ham.full_coupling(fields.ScaledField(env, 8.0, 1.0), ham.zero_potential())
-    psi = spatial.gaussian_packet(g, 0.0, 1.0, 0.0)
-    with pytest.raises(ConfigError):
+    psi = probe_ensemble(g, 1, seed=3)[0]
+    with pytest.raises(ConfigError, match="gradient"):
         one_step(spec, psi, 0.0, 1e-2, "split")
+
+
+@pytest.mark.parametrize("kind", ["cw", "pulse"])
+def test_split_full_transverse_matches_dense_oracle(kind):
+    # with off-grid polarization the full generator is -Lap + V + |b(x,t)|^2,
+    # which the Strang step splits; criterion 2's split setup and bar
+    g = spatial.make_grid(1, 16, 20.0)
+    env = fields.transverse_envelope(kind, 0.5, 1)
+    spec = ham.full_coupling(fields.ScaledField(env, 10.0, 1.0), ham.soft_core_coulomb(1.0, 1.0))
+    t0, t1, dt = 0.1, 0.35, 1e-5
+    psi = probe_ensemble(g, 1, seed=6)[0]
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split",
+                             store_states=True, sample_times=(t1,))
+    out = prop.evolve(spec, psi, cfg).terminal_state
+    ref = prop.dense_oracle_evolve(spec, psi, t0, t1, int(round((t1 - t0) / dt)))
+    err = spatial.norm(spatial.WaveFunction(g, out.values - ref.values))
+    assert err <= 1e-9 * (t1 - t0)
 
 
 def test_split_momentum_phase_oracle():
@@ -243,6 +262,39 @@ def test_length_split_step_matches_per_step_exponential(plane):
         ref = inverse(np.exp(-1j * dt * g.k_square) * forward(half_v * values))
         ref *= half_v
         np.testing.assert_array_equal(step(values, t_mid), ref)
+
+
+@pytest.mark.parametrize("kind,plane,per_step", [
+    (ham.DIPOLE_LENGTH, False, 0),
+    (ham.DIPOLE_VELOCITY, False, 1),
+    (ham.DIPOLE_LENGTH, True, 1),
+    (ham.FULL, False, 1),
+], ids=["length-off-grid", "velocity-off-grid", "length-in-plane", "full-off-grid"])
+def test_split_step_exponentiates_only_changing_factors(monkeypatch, kind, plane, per_step):
+    # the kinetic and potential factors are formed on the first step; after
+    # that only a factor whose term depends on t is exponentiated again
+    if plane:
+        g = spatial.make_grid(2, [16, 16], [16.0, 16.0])
+        env = fields.in_plane_envelope("cw", 0.5)
+    else:
+        g = spatial.make_grid(1, 64, 16.0)
+        env = fields.transverse_envelope("cw", 0.5, 1)
+    spec = ham.HamiltonianSpec(kind, fields.ScaledField(env, 8.0, 1.0),
+                               ham.soft_core_coulomb(1.0, 1.0))
+    calls = []
+
+    def counted(x, *args, _original=np.exp, **kwargs):
+        if np.size(x) == g.npoints:
+            calls.append(1)
+        return _original(x, *args, **kwargs)
+
+    step = prop._split_stepper(spec, g, 1e-2)
+    values = probe_ensemble(g, 1, seed=4)[0].values
+    monkeypatch.setattr(np, "exp", counted)
+    n = 7
+    for j in range(n):
+        values = step(values, 0.1 + 1e-2 * (j + 0.5))
+    assert len(calls) == 2 + (n - 1) * per_step
 
 
 @pytest.mark.parametrize("method", ["split", "krylov"])
