@@ -20,16 +20,23 @@ probe ensembles:
 
 The probe kernels work on stacked probe blocks (probe axis leading) of at
 most PROBE_BLOCK_POINTS grid points: 8 probes of a 512-point grid, one
-probe of a 128^2 grid.  The estimates are grid-dependent; reports carry the
-grid and seed so numbers are reproducible bit-for-bit and never
-extrapolated to the continuum.
+probe of a 128^2 grid.  run_bounds_suite makes one pass over its probes,
+drawn one block at a time: each block is transformed once, for both the
+Laplacian norms of the relative bound and the Sobolev norms of the graph
+norm, gets one W apply and one H apply, and is reduced to per-probe scalars
+before the next block is drawn.  So the suite holds one block, never the
+ensemble.  infinitesimal_bound_scan and graph_norm_constants take probe lists
+and run the same per-block kernels.  The estimates are grid-dependent;
+reports carry the grid and seed so numbers are reproducible bit-for-bit and
+never extrapolated to the continuum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -164,21 +171,50 @@ def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
     return np.array(alphas), q, alpha_star
 
 
-def probe_blocks(probes: Sequence[WaveFunction]):
+def probe_blocks(probes: Iterable[WaveFunction]):
     """Probe values stacked with the probe axis leading, in order.
 
-    A block holds at most PROBE_BLOCK_POINTS grid points, or one probe when
-    a single probe is larger.
+    Takes any iterable of probes and draws from it one block at a time.  A
+    block holds at most PROBE_BLOCK_POINTS grid points, or one probe when a
+    single probe is larger.
     """
-    per_block = max(1, PROBE_BLOCK_POINTS // probes[0].grid.npoints)
-    for i in range(0, len(probes), per_block):
-        yield np.stack([p.values for p in probes[i:i + per_block]])
+    probes = iter(probes)
+    for first in probes:
+        per_block = max(1, PROBE_BLOCK_POINTS // first.grid.npoints)
+        block = np.stack([first.values,
+                          *(p.values for p in islice(probes, per_block - 1))])
+        del first  # the block is a copy: hold no probe while it is consumed
+        yield block
 
 
 def _squared_norms(block: np.ndarray) -> np.ndarray:
     """Euclidean squared norm of each probe (leading axis) of a block."""
     flat = block.reshape(block.shape[0], -1)
     return np.vecdot(flat, flat).real
+
+
+def _laplacian_norms(vhat: np.ndarray, grid: Grid) -> np.ndarray:
+    """||Lap psi||^2 per probe from the block's forward transform vhat.
+
+    Parseval for the unnormalized FFT: ||Lap psi||^2 = ||k^2 F psi||^2 / N.
+    """
+    return _squared_norms(grid.k_square * vhat) / grid.npoints
+
+
+def _relative_rows(w_op: CouplingOperator, block: np.ndarray,
+                   lap_norms: np.ndarray) -> np.ndarray:
+    """Rows ||W psi||^2, ||Lap psi||^2 and ||psi||^2 over the probes of a block."""
+    return np.stack([_squared_norms(w_op.apply(block)), lap_norms, _squared_norms(block)])
+
+
+def _relative_constants(epsilons: Sequence[float], rows: np.ndarray) -> np.ndarray:
+    """C_eps per eps: the probe maximum over the _relative_rows, clamped at zero."""
+    w_norms, lap_norms, norms = rows
+    out = []
+    for eps in epsilons:
+        c = np.max((w_norms - float(eps) * lap_norms) / norms)
+        out.append(max(0.0, float(c)))
+    return np.array(out)
 
 
 def infinitesimal_bound_scan(w_op: CouplingOperator, epsilons: Sequence[float],
@@ -193,22 +229,9 @@ def infinitesimal_bound_scan(w_op: CouplingOperator, epsilons: Sequence[float],
         raise ConfigError("relative-bound scan needs at least 64 probes")
     grid = probes[0].grid
     forward, _ = fourier_pair(grid)
-    w_norms, lap_norms, norms = [], [], []
-    for block in probe_blocks(probes):
-        w_norms.append(_squared_norms(w_op.apply(block)))
-        lap = forward(block)
-        np.multiply(grid.k_square, lap, out=lap)
-        lap_norms.append(_squared_norms(lap))
-        norms.append(_squared_norms(block))
-    w_norms = np.concatenate(w_norms)
-    # Parseval for the unnormalized FFT: ||Lap psi||^2 = ||k^2 F psi||^2 / N
-    lap_norms = np.concatenate(lap_norms) / grid.npoints
-    norms = np.concatenate(norms)
-    out = []
-    for eps in epsilons:
-        c = np.max((w_norms - float(eps) * lap_norms) / norms)
-        out.append(max(0.0, float(c)))
-    return np.array(out)
+    rows = [_relative_rows(w_op, block, _laplacian_norms(forward(block), grid))
+            for block in probe_blocks(probes)]
+    return _relative_constants(epsilons, np.concatenate(rows, axis=1))
 
 
 def _sobolev_weight(grid: Grid) -> np.ndarray:
@@ -216,11 +239,26 @@ def _sobolev_weight(grid: Grid) -> np.ndarray:
     return (1.0 + grid.k_square + grid.k_square ** 2).ravel()
 
 
-def _sobolev_norms(block: np.ndarray, grid: Grid, weight: np.ndarray) -> np.ndarray:
-    forward, _ = fourier_pair(grid)
-    vhat = forward(block)
-    dens = (vhat.real ** 2 + vhat.imag ** 2).reshape(block.shape[0], -1)
+def _sobolev_norms(vhat: np.ndarray, grid: Grid, weight: np.ndarray) -> np.ndarray:
+    """||psi||_{W^{2,2}} per probe from the block's forward transform vhat."""
+    dens = (vhat.real ** 2 + vhat.imag ** 2).reshape(vhat.shape[0], -1)
     return np.sqrt(dens @ weight * grid.cell_volume / grid.npoints)
+
+
+def _graph_ratios(h_apply, alpha: float, block: np.ndarray, sobolev: np.ndarray,
+                  grid: Grid) -> np.ndarray:
+    """||psi||_{W^{2,2}} / (||psi|| + ||(H+alpha) psi||) over the probes of a block.
+
+    h_apply applies H; sobolev holds the probes' _sobolev_norms.
+    """
+    scale = np.sqrt(grid.cell_volume)
+    n = np.sqrt(_squared_norms(block)) * scale
+    if np.any(n == 0.0):
+        raise ConfigError("degenerate zero-norm probe")
+    hp = h_apply(block)
+    hp += alpha * block
+    graph = n + np.sqrt(_squared_norms(hp)) * scale
+    return sobolev / graph
 
 
 def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
@@ -230,48 +268,49 @@ def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
         raise ConfigError("need at least one probe")
     grid = probes[0].grid
     fn = hamiltonian_apply_fn(spec, t, grid)
+    forward, _ = fourier_pair(grid)
     weight = _sobolev_weight(grid)
-    ratios = []
-    scale = np.sqrt(grid.cell_volume)
-    for block in probe_blocks(probes):
-        n = np.sqrt(_squared_norms(block)) * scale
-        if np.any(n == 0.0):
-            raise ConfigError("degenerate zero-norm probe")
-        hp = fn(block)
-        hp += alpha * block
-        graph = n + np.sqrt(_squared_norms(hp)) * scale
-        ratios.append(_sobolev_norms(block, grid, weight) / graph)
-    ratios = np.concatenate(ratios)
+    ratios = np.concatenate([
+        _graph_ratios(fn, alpha, block, _sobolev_norms(forward(block), grid, weight), grid)
+        for block in probe_blocks(probes)])
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def probe_ensemble(grid: Grid, count: int, seed: int) -> list[WaveFunction]:
-    """Reproducible probe states: Gaussians with random boosts + band noise."""
+def _draw_probe(rng: np.random.Generator, grid: Grid, idx: int) -> WaveFunction:
+    """Probe idx of the ensemble: band-limited noise for odd idx, else a
+    Gaussian with a random boost; unit-normalized."""
+    if idx % 2 == 1:
+        cutoff = max(2, min(grid.shape) // 4)
+        coeff = np.zeros(grid.shape, dtype=complex)
+        sel = tuple(slice(0, cutoff) for _ in range(grid.dim))
+        block = rng.standard_normal((cutoff,) * grid.dim) \
+            + 1j * rng.standard_normal((cutoff,) * grid.dim)
+        coeff[sel] = block
+        vals = np.fft.ifftn(coeff)
+    else:
+        vals = np.ones(grid.shape, dtype=complex)
+        for axis in range(grid.dim):
+            l = grid.lengths[axis]
+            c = rng.uniform(-l / 4, l / 4)
+            lo = 2.2 * grid.spacing[axis]
+            sig = rng.uniform(lo, max(l / 8, 2.0 * lo))
+            k0 = rng.uniform(-1.0, 1.0) * np.pi / (3.0 * grid.spacing[axis])
+            x = grid.mesh(axis)
+            vals = vals * np.exp(-(x - c) ** 2 / (2 * sig ** 2) + 1j * k0 * x)
+    n = np.linalg.norm(vals.ravel()) * np.sqrt(grid.cell_volume)
+    return WaveFunction(grid, vals / n)
+
+
+def iter_probe_ensemble(grid: Grid, count: int, seed: int) -> Iterator[WaveFunction]:
+    """Reproducible probe states, drawn one at a time from one seeded generator."""
     rng = np.random.default_rng(seed)
-    probes: list[WaveFunction] = []
-    scale = np.sqrt(grid.cell_volume)
     for idx in range(count):
-        if idx % 2 == 1:
-            cutoff = max(2, min(grid.shape) // 4)
-            coeff = np.zeros(grid.shape, dtype=complex)
-            sel = tuple(slice(0, cutoff) for _ in range(grid.dim))
-            block = rng.standard_normal((cutoff,) * grid.dim) \
-                + 1j * rng.standard_normal((cutoff,) * grid.dim)
-            coeff[sel] = block
-            vals = np.fft.ifftn(coeff)
-        else:
-            vals = np.ones(grid.shape, dtype=complex)
-            for axis in range(grid.dim):
-                l = grid.lengths[axis]
-                c = rng.uniform(-l / 4, l / 4)
-                lo = 2.2 * grid.spacing[axis]
-                sig = rng.uniform(lo, max(l / 8, 2.0 * lo))
-                k0 = rng.uniform(-1.0, 1.0) * np.pi / (3.0 * grid.spacing[axis])
-                x = grid.mesh(axis)
-                vals = vals * np.exp(-(x - c) ** 2 / (2 * sig ** 2) + 1j * k0 * x)
-        n = np.linalg.norm(vals.ravel()) * scale
-        probes.append(WaveFunction(grid, vals / n))
-    return probes
+        yield _draw_probe(rng, grid, idx)
+
+
+def probe_ensemble(grid: Grid, count: int, seed: int) -> list[WaveFunction]:
+    """The states of iter_probe_ensemble as a list."""
+    return list(iter_probe_ensemble(grid, count, seed))
 
 
 def plane_wave_probes(grid: Grid, mode_indices: Sequence[tuple]) -> list[WaveFunction]:
@@ -337,15 +376,30 @@ class BoundsReport:
 
 
 def run_bounds_suite(spec: HamiltonianSpec, t: float, grid: Grid, seed: int) -> BoundsReport:
-    """Full scan set against one generator at one time."""
+    """Full scan set against one generator at one time.
+
+    The probes are drawn block by block and each block is reduced to its
+    per-probe scalars before the next is drawn; the report equals the one
+    the list functions give on probe_ensemble(grid, SUITE_PROBES, seed).
+    """
     w_op = CouplingOperator.from_spec(spec, t, grid)
     alpha_arr, q, alpha_star = contraction_scan(w_op, SUITE_ALPHAS, seed=seed)
-    probes = probe_ensemble(grid, SUITE_PROBES, seed)
-    c_eps = infinitesimal_bound_scan(w_op, SUITE_EPSILONS, probes)
-    interval = graph_norm_constants(spec, t, SUITE_GRAPH_ALPHA, probes)
+    h_apply = hamiltonian_apply_fn(spec, t, grid)
+    forward, _ = fourier_pair(grid)
+    weight = _sobolev_weight(grid)
+    rows, ratios = [], []
+    for block in probe_blocks(iter_probe_ensemble(grid, SUITE_PROBES, seed)):
+        # one transform feeds both spectral norms and is dropped before the applies
+        vhat = forward(block)
+        lap, sobolev = _laplacian_norms(vhat, grid), _sobolev_norms(vhat, grid, weight)
+        del vhat
+        rows.append(_relative_rows(w_op, block, lap))
+        ratios.append(_graph_ratios(h_apply, SUITE_GRAPH_ALPHA, block, sobolev, grid))
+    c_eps = _relative_constants(SUITE_EPSILONS, np.concatenate(rows, axis=1))
+    ratios = np.concatenate(ratios)
     return BoundsReport(
         alphas=list(alpha_arr), q_values=list(q), alpha_star=alpha_star,
         epsilons=list(SUITE_EPSILONS), c_eps=list(c_eps), graph_alpha=SUITE_GRAPH_ALPHA,
-        graph_interval=interval,
+        graph_interval=(float(np.min(ratios)), float(np.max(ratios))),
         probe_description=f"mixed gaussian/band-limited ensemble, {SUITE_PROBES} probes",
         seed=seed, grid_shape=grid.shape, grid_lengths=grid.lengths)

@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -391,6 +390,9 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
                                 time.perf_counter() - tick, diagnostic=str(exc))
 
     if config.threads > 1:
+        # imported here: concurrent.futures loads logging, which a serial run
+        # never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             records = list(pool.map(one_lambda, fields, g_table))
     else:

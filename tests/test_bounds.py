@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dipolelab import bounds, fields, hamiltonians as ham, propagate, spatial
+from dipolelab import bounds, fields, hamiltonians as ham, harness, propagate, spatial
 from dipolelab.errors import ConfigError, NumericalError
 
 
@@ -215,8 +217,8 @@ def test_sobolev_norm_reduces_to_l2():
     g = spatial.make_grid(1, 128, 16.0)
     psi = spatial.gaussian_packet(g, 0.0, 1.0, 0.0)
     flat = spatial.normalize(spatial.WaveFunction(g, np.ones(128, complex)))
-    sob = bounds._sobolev_norms(np.stack([psi.values, flat.values]), g,
-                                bounds._sobolev_weight(g))
+    vhat = np.fft.fft(np.stack([psi.values, flat.values]))
+    sob = bounds._sobolev_norms(vhat, g, bounds._sobolev_weight(g))
     # unit weight bound: ||psi||_{W^{2,2}} >= ||psi||, equality iff k = 0 only
     assert sob[0] >= spatial.norm(psi)
     assert sob[1] == pytest.approx(spatial.norm(flat), abs=1e-12)
@@ -234,6 +236,57 @@ def test_bounds_suite_reproducible():
     assert payload["seed"] == 33
     table = rep1.format_table()
     assert "alpha" in table and "C_eps" in table.replace("C_eps", "C_eps")
+
+
+@pytest.mark.parametrize("preset, seed", [
+    ("pulse-1d", 1), ("pulse-1d", 77), ("pulse-1d", 5), ("pulse-1d", 2024),
+    ("two-body-1d", 1), ("two-body-1d", 77), ("two-body-1d", 5), ("two-body-1d", 2024)])
+def test_streamed_suite_equals_the_list_api_report(monkeypatch, preset, seed):
+    # the spec, time and grid are the ones run_bounds_check hands the suite
+    calls = []
+
+    def suite(*args):
+        calls.append(args)
+        return bounds.run_bounds_suite(*args)
+
+    monkeypatch.setattr(harness, "run_bounds_suite", suite)
+    got = harness.run_bounds_check(replace(harness.preset_config(preset), seed=seed))
+    (spec, t, grid, seed_passed), = calls
+    w = bounds.CouplingOperator.from_spec(spec, t, grid)
+    alphas, q, alpha_star = bounds.contraction_scan(w, bounds.SUITE_ALPHAS, seed=seed)
+    probes = bounds.probe_ensemble(grid, bounds.SUITE_PROBES, seed)
+    want = bounds.BoundsReport(
+        alphas=list(alphas), q_values=list(q), alpha_star=alpha_star,
+        epsilons=list(bounds.SUITE_EPSILONS),
+        c_eps=list(bounds.infinitesimal_bound_scan(w, bounds.SUITE_EPSILONS, probes)),
+        graph_alpha=bounds.SUITE_GRAPH_ALPHA,
+        graph_interval=bounds.graph_norm_constants(spec, t, bounds.SUITE_GRAPH_ALPHA, probes),
+        probe_description=got.probe_description, seed=seed,
+        grid_shape=grid.shape, grid_lengths=grid.lengths)
+    assert seed_passed == seed
+    # json text compares floats by their shortest round-trip repr: bit for bit
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_bounds_suite_holds_one_probe_block_not_the_ensemble(monkeypatch):
+    # a 64x64 probe is 64 KiB, one per block; the ensemble is 64 of them
+    env = fields.transverse_envelope("cw", 0.25, 2)
+    spec = ham.dipole_velocity(fields.ScaledField(env, 10.0, 1.0),
+                               ham.soft_core_coulomb(1.0, 1.0))
+    g = spatial.make_grid(2, 64, 40.0)
+    state_bytes = g.npoints * 16
+    assert bounds.PROBE_BLOCK_POINTS // g.npoints <= 1
+    fixed = (np.array(bounds.SUITE_ALPHAS), np.ones(len(bounds.SUITE_ALPHAS)), None)
+    monkeypatch.setattr(bounds, "contraction_scan", lambda *args, **kwargs: fixed)
+    # a first run loads numpy.random's lazy submodules and the grid's caches
+    bounds.run_bounds_suite(spec, 0.1, g, seed=4)
+    tracemalloc.start()
+    try:
+        bounds.run_bounds_suite(spec, 0.1, g, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * state_bytes
 
 
 # -- batched probe kernels against per-probe reference loops ------------------

@@ -133,7 +133,9 @@ def test_pulse_table_built_once(monkeypatch):
 def test_cli_import_graph_leaves_out_heavy_scipy():
     # numpy is the only runtime dependency: no scipy module loads in a CLI
     # process that evaluates the pulse profile, takes a Krylov step on the full
-    # generator and runs the bounds probe (scipy stays a test oracle)
+    # generator and runs the bounds probe (scipy stays a test oracle); nor do
+    # concurrent.futures and the logging it pulls in, which only a threaded
+    # sweep needs
     code = (
         "import json, sys\n"
         "import numpy as np\n"
@@ -154,14 +156,15 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
         "    dt=cfg.dt, t0=cfg.start_time, t_final=cfg.start_time + cfg.dt,\n"
         "    method='krylov'))\n"
         "harness.run_bounds_check(cfg)\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+        "                  [m for m in ('concurrent.futures', 'logging') if m in sys.modules]]))\n")
     src = str(Path(dipolelab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == []
+    assert json.loads(out) == [[], []]
 
 
 def test_envelope_dt_cw_at_origin():
