@@ -46,6 +46,13 @@ _PULSE_CELLS = int(round(2 * PULSE_WINDOW / _PULSE_SPACING))
 
 _pulse_coeffs: np.ndarray | None = None
 
+# 6-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
+# numpy.polynomial.legendre.leggauss(6) without importing numpy.polynomial
+_GAUSS_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
+_GAUSS_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                  0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
+
 
 def _build_pulse_table() -> np.ndarray:
     """Cubic Hermite table of F(u) = -int_u^inf exp(-s^2) cos(s) ds on the window.
@@ -59,7 +66,7 @@ def _build_pulse_table() -> np.ndarray:
     """
     h = _PULSE_SPACING
     nodes = -PULSE_WINDOW + h * np.arange(_PULSE_CELLS + 1)
-    x, w = np.polynomial.legendre.leggauss(6)
+    x, w = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
     s = nodes[:-1, None] + (0.5 * h) * (1.0 + x)
     cells = (np.exp(-s * s) * np.cos(s)) @ ((0.5 * h) * w)
     y = np.zeros(_PULSE_CELLS + 1)

@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .fields import (ScaledField, coupling_arrays, grid_components, is_commensurate,
                      profile_derivative)
 from .fields import profile_value  # noqa: F401  (unused; bench/tracing.py patches it here)
-from .spatial import Grid, WaveFunction, fourier_pair, inner_product
+from .spatial import Grid, WaveFunction, fourier_pair, inner_product, real_fourier_pair
 
 FULL = "full"
 DIPOLE_VELOCITY = "dipole_velocity"
@@ -232,16 +232,55 @@ def generator_terms(spec: HamiltonianSpec, t: float, grid: Grid):
     return sym, v, grads
 
 
+_UNDECIDED = object()
+
+
+def _half_spectrum_symbol(sym: np.ndarray, grid: Grid) -> np.ndarray | None:
+    """sym on the real transform's half spectrum, or None unless sym(-k) == sym(k).
+
+    An even real symbol maps Hermitian spectra to Hermitian spectra, so with
+    a real diagonal and no gradient terms H maps real states to real states.
+    """
+    axes = tuple(range(grid.dim))
+    if not np.array_equal(sym, np.roll(np.flip(sym, axes), 1, axes)):
+        return None
+    return np.ascontiguousarray(sym[..., :grid.shape[-1] // 2 + 1])
+
+
 def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
                          grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    """Closure applying H(t) to raw value arrays; the ``generator_terms`` at t."""
+    """Closure applying H(t) to raw value arrays; the ``generator_terms`` at t.
+
+    When the terms keep states real (no gradient terms, a symbol even in k),
+    a real input is applied with real transforms and gives a real output.
+    The closure decides this once, on its first real input; every other
+    input takes the complex transforms.
+    """
     sym, diag, grads = generator_terms(spec, t, grid)
     forward, inverse = fourier_pair(grid)
+    rforward, rinverse = real_fourier_pair(grid)
+    half_sym = _UNDECIDED
 
     def apply(values: np.ndarray) -> np.ndarray:
+        nonlocal half_sym
+        if values.dtype.kind == "f":
+            if half_sym is _UNDECIDED:
+                half_sym = None if grads else _half_spectrum_symbol(sym, grid)
+            if half_sym is not None:
+                vhat = rforward(values)
+                vhat *= half_sym
+                out = rinverse(vhat)
+                out += diag * values
+                return out
         vhat = forward(values)
-        out = inverse(sym * vhat)
-        out += diag * values
+        # the gradient terms read vhat again, so only a gradient-free H
+        # multiplies and transforms it in place
+        out = np.multiply(vhat, sym, out=None if grads else vhat)
+        inverse(out, out=out)
+        # the real diagonal acts on each part: two half-state temporaries, the
+        # same bits as `out += diag * values` without its complex temporary
+        out.real += diag * values.real
+        out.imag += diag * values.imag
         for g, ik in grads:
             out += g * inverse(vhat * ik)
         return out

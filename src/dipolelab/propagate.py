@@ -10,7 +10,10 @@ polarization.  The Krylov stepper exponentiates any Hermitian generator
 through ``hamiltonian_apply_fn``, the in-plane full coupling included.
 One Lanczos recurrence serves the Krylov step and the one restarted-Lanczos
 extremal eigensolver, which finds the ground state (the top eigenpair of -H)
-and the contraction constants of the bounds module.
+and the contraction constants of the bounds module.  Its basis takes the
+arithmetic of its start vector and operator: the ground state of the real
+-Lap + V is solved on a real basis with real transforms, while the Krylov
+step and the contraction scan keep complex bases.
 """
 
 from __future__ import annotations
@@ -128,15 +131,19 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int, local: bool = False):
     previous two vectors only (the plain three-term recurrence), which is
     enough for the few vectors of a Krylov step.  At most m vectors are built;
     the caller stops early by leaving the loop.  apply_fn must return a new
-    array, not a view of its argument.
+    array, not a view of its argument.  The basis takes the result type of v0
+    and the first apply: a real operator started from a real vector (the
+    ground state of -Lap + V) keeps a real basis of half the memory.
     """
     shape = v0.shape
-    V = np.empty((m, v0.size), dtype=complex)
+    w = apply_fn(v0).ravel()
+    V = np.empty((m, v0.size), dtype=np.result_type(v0, w))
     V[0] = v0.ravel()
     alphas = np.empty(m)
     betas = np.empty(m - 1)
     for j in range(m):
-        w = apply_fn(V[j].reshape(shape)).ravel()
+        if j:
+            w = apply_fn(V[j].reshape(shape)).ravel()
         basis = V[max(j - 1, 0) if local else 0:j + 1]
         h = np.vecdot(basis, w)
         alphas[j] = h[-1].real
@@ -323,7 +330,9 @@ def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8):
     (energy, psi) with ||H psi - E psi|| <= tol and psi normalized on the
     grid.  The lowest pair of H is the top pair of -H.  For a Euclidean unit
     vector the Lanczos residual equals the grid-norm residual of the
-    grid-normalized state, so tol is the solver's absolute stop.  The name is
+    grid-normalized state, so tol is the solver's absolute stop.  H and the
+    seed are real, so the solve runs on a real basis with real transforms;
+    the final residual check applies H to the complex state.  The name is
     kept from a former imaginary-time relaxation ahead of the Lanczos solve,
     which only added cost; the acceptance suite and the benchmark tracer call
     this name.
@@ -338,7 +347,7 @@ def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8):
     for axis in range(grid.dim):
         x = grid.mesh(axis)
         r2 = r2 + x * x
-    seed = np.exp(-r2 / (2.0 * sigma * sigma)).astype(complex)
+    seed = np.exp(-r2 / (2.0 * sigma * sigma))
     theta, values = _top_eigenpair(lambda x: -apply_h(x),
                                    seed / np.linalg.norm(seed.ravel()),
                                    "the negated field-free Hamiltonian", atol=tol)

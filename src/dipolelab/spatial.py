@@ -206,6 +206,35 @@ def fourier_pair(grid: Grid):
     return forward, inverse
 
 
+def real_fourier_pair(grid: Grid):
+    """(forward, inverse) real DFTs over an array's trailing grid.dim axes.
+
+    The forward transform keeps the first n // 2 + 1 frequencies of the last
+    axis, which fix the Hermitian spectrum of a real array; the inverse maps
+    that half spectrum back to the real array.  Leading
+    axes are a batch.  Like ``fourier_pair`` the transforms are looked up on
+    np.fft at call time.
+    """
+    if grid.dim == 1:
+        n = grid.shape[0]
+
+        def forward(values: np.ndarray) -> np.ndarray:
+            return np.fft.rfft(values)
+
+        def inverse(values: np.ndarray) -> np.ndarray:
+            return np.fft.irfft(values, n=n)
+    else:
+        axes = tuple(range(-grid.dim, 0))
+
+        def forward(values: np.ndarray) -> np.ndarray:
+            return np.fft.rfftn(values, axes=axes)
+
+        def inverse(values: np.ndarray) -> np.ndarray:
+            return np.fft.irfftn(values, s=grid.shape, axes=axes)
+
+    return forward, inverse
+
+
 def spectral_axis_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """d/dx_axis via the Fourier multiplier i*k (raw array in, raw array out).
 

@@ -135,7 +135,8 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
     # process that evaluates the pulse profile, takes a Krylov step on the full
     # generator and runs the bounds probe (scipy stays a test oracle); nor do
     # concurrent.futures and the logging it pulls in, which only a threaded
-    # sweep needs
+    # sweep needs, nor numpy.polynomial, whose Gauss-Legendre rule the pulse
+    # table writes out as literals
     code = (
         "import json, sys\n"
         "import numpy as np\n"
@@ -157,7 +158,8 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
         "    method='krylov'))\n"
         "harness.run_bounds_check(cfg)\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')),\n"
-        "                  [m for m in ('concurrent.futures', 'logging') if m in sys.modules]]))\n")
+        "                  [m for m in ('concurrent.futures', 'logging', 'numpy.polynomial')\n"
+        "                   if m in sys.modules]]))\n")
     src = str(Path(dipolelab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -165,6 +167,20 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == [[], []]
+
+
+def test_gauss_rule_literals_equal_leggauss():
+    x, w = np.polynomial.legendre.leggauss(6)
+    assert np.array(fields._GAUSS_NODES).tobytes() == x.tobytes()
+    assert np.array(fields._GAUSS_WEIGHTS).tobytes() == w.tobytes()
+
+
+def test_pulse_table_equals_the_leggauss_build(monkeypatch):
+    table = fields._build_pulse_table()
+    x, w = np.polynomial.legendre.leggauss(6)
+    monkeypatch.setattr(fields, "_GAUSS_NODES", tuple(x))
+    monkeypatch.setattr(fields, "_GAUSS_WEIGHTS", tuple(w))
+    assert fields._build_pulse_table().tobytes() == table.tobytes()
 
 
 def test_envelope_dt_cw_at_origin():

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dipolelab import fields, hamiltonians as ham, spatial
+from dipolelab import fields, hamiltonians as ham, harness, spatial
 from dipolelab.errors import ConfigError
 
 
@@ -208,3 +210,59 @@ def test_apply_accepts_a_leading_batch_axis(kind, plane):
     out = fn(batch)
     for row, out_row in zip(batch, out):
         np.testing.assert_array_equal(out_row, fn(row))
+
+
+def _field_free_length(potential):
+    return ham.dipole_length(fields.ScaledField(fields.zero_envelope(), 1.0, 1.0), potential)
+
+
+@pytest.mark.parametrize("case", ["soft-core-1d", "two-body-preset"])
+def test_real_input_takes_real_transforms_when_h_keeps_states_real(monkeypatch, case):
+    if case == "soft-core-1d":
+        g, pot = spatial.make_grid(1, 256, 40.0), ham.soft_core_coulomb(1.0, 1.0)
+    else:
+        cfg = harness.preset_config("two-body-1d")
+        g, pot = cfg.build_grid(), cfg.build_potential()
+    decisions = []
+    decide = ham._half_spectrum_symbol
+    monkeypatch.setattr(ham, "_half_spectrum_symbol",
+                        lambda *a: (decisions.append(1), decide(*a))[1])
+    fn = ham.hamiltonian_apply_fn(_field_free_length(pot), 0.0, g)
+    rng = np.random.default_rng(12)
+    for _ in range(2):
+        values = rng.standard_normal(g.shape)
+        real = fn(values)
+        ref = fn(values.astype(complex))
+        assert real.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.max(np.abs(real - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert decisions == [1]   # decided once, on the first real input
+
+
+@pytest.mark.parametrize("kind", [ham.DIPOLE_VELOCITY, ham.FULL])
+def test_real_input_keeps_the_complex_path_when_h_does_not_keep_states_real(kind):
+    # the in-plane velocity symbol (k - b)^2 is odd in k; the in-plane full
+    # generator has gradient terms
+    g = spatial.make_grid(2, [16, 16], [16.0, 16.0])
+    fld = fields.ScaledField(fields.in_plane_envelope("cw", 0.5), 8.0, 1.0)
+    fn = ham.hamiltonian_apply_fn(ham.HamiltonianSpec(kind, fld, ham.soft_core_coulomb()),
+                                  0.3, g)
+    values = np.random.default_rng(13).standard_normal(g.shape)
+    out = fn(values)
+    assert out.dtype == np.complex128
+    np.testing.assert_array_equal(out.view(np.uint64),
+                                  fn(values.astype(complex)).view(np.uint64))
+
+
+def test_warm_apply_peaks_below_three_states():
+    g = spatial.make_grid(2, 64, 30.0)
+    fn = ham.hamiltonian_apply_fn(_field_free_length(ham.soft_core_coulomb()), 0.0, g)
+    rng = np.random.default_rng(14)
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    fn(values)
+    tracemalloc.start()
+    try:
+        fn(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * values.nbytes

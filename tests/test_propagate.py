@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -388,9 +389,10 @@ def test_ground_state_final_residual_check(monkeypatch):
 
 def test_ground_solve_fft_budget(monkeypatch):
     # Lanczos from the Gaussian seed; an imaginary-time relaxation followed by
-    # a Lanczos polish took 1,510 FFTs on this grid
+    # a Lanczos polish took 1,510 FFTs on this grid.  The solve runs on real
+    # transforms and its residual check on complex ones; both are counted.
     calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         def counted(*args, _original=getattr(np.fft, name), **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
@@ -399,6 +401,20 @@ def test_ground_solve_fft_budget(monkeypatch):
     g = spatial.make_grid(1, 256, 40.0)
     prop.ground_state_imaginary_time(ham.soft_core_coulomb(1.0, 1.0), g, tol=1e-8)
     assert len(calls) <= 600
+
+
+def test_ground_solve_holds_less_than_one_complex_basis():
+    cfg = harness.preset_config("two-body-1d")
+    grid, pot = cfg.build_grid(), cfg.build_potential()
+    prop.ground_state_imaginary_time(pot, grid, tol=cfg.ground_tol)   # warm the caches
+    tracemalloc.start()
+    try:
+        prop.ground_state_imaginary_time(pot, grid, tol=cfg.ground_tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a complex basis of LANCZOS_M states alone is 6 MiB on this grid
+    assert peak < prop.LANCZOS_M * 16 * grid.npoints
 
 
 def test_ground_state_rejects_free_particle():
@@ -573,6 +589,18 @@ def test_top_eigenpair_of_minus_h_matches_eigh():
     theta, v = prop._top_eigenpair(lambda x: -(h @ x), _unit(27, 20), "-h", atol=1e-12)
     assert abs(-theta - w[0]) < 1e-10
     assert abs(abs(np.vdot(q[:, 0], v)) - 1.0) < 1e-10
+
+
+def test_top_eigenpair_keeps_a_real_operator_real():
+    h = np.random.default_rng(28).standard_normal((20, 20))
+    h = h + h.T
+    w, q = eigh(h)
+    start = np.random.default_rng(29).standard_normal(20)
+    theta, v = prop._top_eigenpair(lambda x: h @ x, start / np.linalg.norm(start), "h",
+                                   atol=1e-12)
+    assert v.dtype == np.float64
+    assert abs(theta - w[-1]) < 1e-10
+    assert abs(abs(q[:, -1] @ v) - 1.0) < 1e-10
 
 
 def test_tridiagonal_eigh_size_one_agreement_and_failure():
