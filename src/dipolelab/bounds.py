@@ -1,7 +1,8 @@
 """Discrete analogues of the operator estimates behind well-posedness.
 
-Three measurements on matrix-free operators, all over reproducible seeded
-probe ensembles:
+Three measurements on the coupling W = H - (-Lap), a matrix-free operator
+built from ``hamiltonians.coupling_terms`` as H is, all over reproducible
+seeded probe ensembles:
 
   * contraction_scan: q(alpha) = ||W R_alpha||, R_alpha = (-Lap + alpha)^-1;
     invertibility of 1 + W R_alpha needs q < 1.  q(alpha)^2 is the top
@@ -34,19 +35,16 @@ never extrapolated to the continuum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .fields import coupling_arrays
-from .hamiltonians import (DIPOLE_LENGTH, DIPOLE_VELOCITY, HamiltonianSpec,
-                           hamiltonian_apply_fn, length_gauge_term,
-                           potential_on_grid)
+from .hamiltonians import HamiltonianSpec, coupling_terms, hamiltonian_apply_fn
+from .hamiltonians import potential_on_grid  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .propagate import _top_eigenpair
-from .spatial import Grid, WaveFunction, fourier_pair, spectral_axis_derivative
+from .spatial import Grid, WaveFunction, fourier_pair
 
 # relative residual at which the top Ritz value q(alpha)^2 is accepted
 RITZ_RTOL = 1e-8
@@ -66,53 +64,54 @@ PROBE_BLOCK_POINTS = 4096
 
 @dataclass(frozen=True, eq=False)
 class CouplingOperator:
-    """W = 2i b.grad + b^2 + V as a matrix-free operator on a grid.
+    """W = F^-1 shift F + diagonal + sum_a g_a F^-1 ik_a F; a 0.0 shift needs no transform.
 
     apply and adjoint_apply act on the trailing grid axes, so a stack of
     states with the probe axis leading goes through in one call.
     """
 
     grid: Grid
-    b_axes: dict
-    b_sq: object
-    v: object
+    shift: object
+    diagonal: object
+    grads: list
 
     @classmethod
     def from_spec(cls, spec: HamiltonianSpec, t: float, grid: Grid) -> "CouplingOperator":
-        v = potential_on_grid(spec.potential, grid)
-        if spec.kind == DIPOLE_LENGTH:
-            return cls(grid, {}, 0.0, v + length_gauge_term(spec.field, t, grid))
-        b_axes, b_sq = coupling_arrays(spec.field, t, grid,
-                                       dipole=spec.kind == DIPOLE_VELOCITY)
-        return cls(grid, dict(b_axes), b_sq, v)
+        shift, diagonal, grads = coupling_terms(spec, t, grid)
+        if np.ndim(shift) == 0:
+            # a constant shift is a multiplication: W applies without a transform
+            return cls(grid, 0.0, diagonal + shift, grads)
+        return cls(grid, shift, diagonal, grads)
 
     @classmethod
     def explicit(cls, grid: Grid, b_axes: dict | None = None,
                  b_sq=0.0) -> "CouplingOperator":
-        return cls(grid, dict(b_axes or {}), b_sq, np.zeros(grid.shape))
-
-    @cached_property
-    def diagonal(self):
-        """The multiplication part b^2 + V, formed once per operator."""
-        return self.b_sq + self.v
+        """W = 2i b.grad + b^2 with b given per on-grid axis."""
+        grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in (b_axes or {}).items()]
+        return cls(grid, 0.0, b_sq + np.zeros(grid.shape), grads)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = np.multiply(self.diagonal, values, dtype=complex)
-        if self.b_axes:
+        if np.ndim(self.shift) or self.grads:
             forward, inverse = fourier_pair(self.grid)
             vhat = forward(values)
-            for axis, b in self.b_axes.items():
-                grad = vhat * (1j * self.grid.k_mesh(axis))
-                inverse(grad, out=grad)
-                out += 2j * b * grad
+            if np.ndim(self.shift):
+                out += inverse(self.shift * vhat)
+            for g, ik in self.grads:
+                grad = vhat * ik
+                out += g * inverse(grad, out=grad)
         return out
 
     def adjoint_apply(self, values: np.ndarray) -> np.ndarray:
-        # (2i b . grad)^dagger = 2i grad . (b .) for real b; multiplications
-        # are self-adjoint.
+        # the real shift and diagonal are self-adjoint, and
+        # (g F^-1 ik F)^dagger = F^-1 conj(ik) F conj(g)
         out = np.multiply(self.diagonal, values, dtype=complex)
-        for axis, b in self.b_axes.items():
-            out += 2j * spectral_axis_derivative(b * values, self.grid, axis)
+        forward, inverse = fourier_pair(self.grid)
+        if np.ndim(self.shift):
+            out += inverse(self.shift * forward(values))
+        for g, ik in self.grads:
+            grad = np.conj(ik) * forward(np.conj(g) * values)
+            out += inverse(grad, out=grad)
         return out
 
 

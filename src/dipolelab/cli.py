@@ -2,6 +2,7 @@
 
 Subcommands: sweep | gauge-check | cook | bounds | preset | field-check.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+BLAS and OpenMP pools run one thread unless the environment sets a count.
 """
 
 from __future__ import annotations
@@ -9,12 +10,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, NumericalError
-from .harness import (PRESETS, StudyConfig, preset_config, run_bounds_check,
+# OpenBLAS reads its thread count when numpy loads, so this precedes the imports
+# below.  One thread: a second only keeps a core busy on a Krylov step's small
+# products.  A value already in the environment wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .errors import ConfigError, NumericalError  # noqa: E402
+from .harness import (PRESETS, StudyConfig, preset_config, run_bounds_check,  # noqa: E402
                       run_convergence_sweep, run_cook_comparison,
                       run_field_check, run_gauge_check, run_study)
 

@@ -126,14 +126,10 @@ def dipole_node_trajectory(spec_inf: HamiltonianSpec, fields: list[ScaledField],
         raise ConfigError("dt must divide the Simpson node spacing")
     g_table = np.empty((len(fields), nodes.size))
     columns = iter(g_table.T)
-    final = []
 
     def on_node(s: float, psi: WaveFunction) -> None:
         next(columns)[:] = [cook_integrand(fld, s, psi) for fld in fields]
-        if s == nodes[-1]:
-            final.append(psi.copy())
 
     config = StepperConfig(dt=dt, t0=t0, t_final=t, method=SPLIT,
                            sample_times=tuple(nodes))
-    evolve(spec_inf, psi0, config, on_sample=on_node)
-    return nodes, g_table, final[0]
+    return nodes, g_table, evolve(spec_inf, psi0, config, on_sample=on_node).terminal_state

@@ -9,16 +9,17 @@ Three generator kinds:
   dipole_velocity (-i grad - b(0,t))^2 + V
   dipole_length   -Laplacian + V + da/dt(0, omega t).r
 
-expanded in Coulomb gauge as -Lap + 2i b.grad + |b|^2 + V, with b sampled by
-``fields.coupling_arrays``.  ``generator_terms`` is the one map from a kind
-to operator pieces: a momentum-space symbol, a diagonal and gradient terms.
-The dipole coupling is constant in space, so all of it folds into the symbol
-as (k - b)^2 + |b_offgrid|^2; the full coupling puts |b|^2 on the diagonal
-and adds one gradient transform per coupled axis.  Vector components of b
-beyond the grid dimension (transverse geometries) cannot act through the
-gradient; they contribute through |b|^2 only, which is exactly the reduction
-of the transverse-momentum zero sector.  ``hamiltonian_apply_fn`` applies
-the pieces, and the split stepper of ``propagate`` exponentiates them.
+expanded in Coulomb gauge as -Lap + W, W = 2i b.grad + |b|^2 + V with b sampled
+by ``fields.coupling_arrays``.  ``coupling_terms`` is the one map from a kind
+to the pieces of W: a momentum-space shift, a diagonal and gradient terms.
+The dipole velocity coupling is constant in space, so all of it is the shift
+|b|^2 - 2 b.k; the full coupling puts |b|^2 on the diagonal and adds one
+gradient transform per coupled axis.  Vector components of b beyond the grid
+dimension (transverse geometries) cannot act through the gradient; they
+contribute through |b|^2 only, which is exactly the reduction of the
+transverse-momentum zero sector.  ``generator_terms`` adds k^2 to the shift
+for H, which ``hamiltonian_apply_fn`` applies and the split stepper of
+``propagate`` exponentiates; ``bounds.CouplingOperator`` applies W.
 """
 
 from __future__ import annotations
@@ -201,35 +202,44 @@ def length_gauge_term(field: ScaledField, t: float, grid: Grid) -> np.ndarray:
     return np.broadcast_to(term, grid.shape) if term.shape != grid.shape else term
 
 
-def generator_terms(spec: HamiltonianSpec, t: float, grid: Grid):
-    """(symbol, diagonal, grads) of H(t) = F^-1 symbol F + diagonal + sum_a g_a F^-1 ik_a F.
+def coupling_terms(spec: HamiltonianSpec, t: float, grid: Grid):
+    """(shift, diagonal, grads) of W(t) = F^-1 shift F + diagonal + sum_a g_a F^-1 ik_a F.
 
-    grads lists (g, ik) = (2i b, i k) per on-grid axis of the full coupling.
-    Spatially constant couplings fold into the symbol, the whole dipole
-    velocity coupling (k - b(0,t))^2 + |b_offgrid|^2 included.  The diagonal
+    W = H + Lap is the coupling.  grads lists (g, ik) = (2i b, i k) per
+    on-grid axis of the full coupling.  The dipole velocity coupling is
+    constant in space, so all of it is the momentum shift
+    |b(0,t)|^2 - 2 b(0,t).k: a float when b has no on-grid component, else an
+    array.  The other kinds have shift 0.0.  The diagonal
     is the cached ``potential_on_grid`` array itself unless a term joins it
     (|b(r,t)|^2 of the full coupling, E.r with on-grid polarization), so a
     caller can tell a fixed factor by identity.
     """
     v = potential_on_grid(spec.potential, grid)
-    sym = grid.k_square
-    grads = []
     if spec.kind == DIPOLE_LENGTH:
         if np.any(grid_components(spec.field.envelope.eps_hat, grid)):
             v = v + length_gauge_term(spec.field, t, grid)
-        return sym, v, grads
+        return 0.0, v, []
     dipole = spec.kind == DIPOLE_VELOCITY
     if not dipole and not is_commensurate(spec.field.envelope, grid, spec.field.lam):
         raise ConfigError("full-coupling generator requires a commensurate field on the grid")
     b_axes, b_sq = coupling_arrays(spec.field, t, grid, dipole=dipole)
-    if dipole:
-        sym = sym + b_sq
-        for axis, b in b_axes:
-            sym = sym - 2.0 * b * grid.k_mesh(axis)
-    else:
-        v = v + b_sq
-        grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in b_axes]
-    return sym, v, grads
+    if not dipole:
+        return 0.0, v + b_sq, [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in b_axes]
+    for axis, b in b_axes:
+        b_sq = b_sq - 2.0 * b * grid.k_mesh(axis)
+    return b_sq, v, []
+
+
+def generator_terms(spec: HamiltonianSpec, t: float, grid: Grid):
+    """(symbol, diagonal, grads) of H(t) = F^-1 symbol F + diagonal + sum_a g_a F^-1 ik_a F.
+
+    The ``coupling_terms`` with the shift added to k^2; a zero shift leaves
+    the symbol the cached ``grid.k_square`` itself, so a fixed symbol too is
+    told by identity.
+    """
+    shift, diag, grads = coupling_terms(spec, t, grid)
+    sym = grid.k_square if isinstance(shift, float) and shift == 0.0 else grid.k_square + shift
+    return sym, diag, grads
 
 
 _UNDECIDED = object()

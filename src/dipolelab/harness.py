@@ -377,8 +377,7 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
             spec_full = full_coupling(fld, potential)
             stepper = StepperConfig(
                 dt=config.dt, t0=t0, t_final=t_final, method=KRYLOV,
-                krylov_m=config.krylov_m, krylov_tol=config.krylov_tol,
-                store_states=True, sample_times=(t_final,))
+                krylov_m=config.krylov_m, krylov_tol=config.krylov_tol)
             traj = evolve(spec_full, psi0, stepper)
             diff = traj.terminal_state.values - psi_inf_final.values
             err = float(np.linalg.norm(diff.ravel())) * np.sqrt(grid.cell_volume)
@@ -427,8 +426,8 @@ def run_cook_comparison(config: StudyConfig) -> list[CookReport]:
 def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> dict:
     """Velocity-gauge vs mapped length-gauge fidelity at the sample times.
 
-    The velocity run keeps its marks; the length run compares each of its
-    marks as it passes, so only one trajectory's marks are held at once.
+    The velocity run keeps copies of its marks; the length run compares each
+    of its marks as it passes, so only one trajectory's marks are held at once.
     omega_length deliberately detunes the length-gauge field (negative-control
     fixture); the default uses the config's omega on both sides.
     """
@@ -447,24 +446,23 @@ def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> d
 
     span = t_final - t0
     sample = tuple(t0 + span * j / GAUGE_MARKS for j in range(GAUGE_MARKS + 1))
-    stepper = lambda store: StepperConfig(dt=config.dt, t0=t0, t_final=t_final,
-                                          method=SPLIT, store_states=store,
-                                          sample_times=sample)
-    traj_v = evolve(spec_v, psi0, stepper(True))
-    marks = iter(traj_v.states)
+    stepper = StepperConfig(dt=config.dt, t0=t0, t_final=t_final, method=SPLIT,
+                            sample_times=sample)
+    marks = []
+    evolve(spec_v, psi0, stepper, on_sample=lambda t, sv: marks.append(sv.copy()))
     fidelities, reverse = [], []
 
     def compare(t: float, sl: WaveFunction) -> None:
-        sv = next(marks)
+        sv = marks.pop(0)
         fidelities.append(phase_fidelity(velocity_to_length(sv, fld_l, t), sl))
         reverse.append(phase_fidelity(length_to_velocity(sl, fld_l, t), sv))
 
-    evolve(spec_l, velocity_to_length(psi0, fld_l, t0), stepper(False), on_sample=compare)
+    evolve(spec_l, velocity_to_length(psi0, fld_l, t0), stepper, on_sample=compare)
     return {
         "lambda": lam,
         "omega_velocity": config.omega,
         "omega_length": fld_l.omega,
-        "times": [float(t) for t in traj_v.times],
+        "times": [float(t) for t in sample],
         "fidelity_forward": [float(f) for f in fidelities],
         "fidelity_reverse": [float(f) for f in reverse],
         "min_fidelity": float(min(min(fidelities), min(reverse))),

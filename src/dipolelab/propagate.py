@@ -8,6 +8,7 @@ terms, a symbol diagonal in momentum space plus a diagonal in position space:
 the dipole kinds in any geometry and the full kind with off-grid
 polarization.  The Krylov stepper exponentiates any Hermitian generator
 through ``hamiltonian_apply_fn``, the in-plane full coupling included.
+``evolve`` returns the final state and hands marked states only to ``on_sample``.
 One Lanczos recurrence serves the Krylov step and the one restarted-Lanczos
 extremal eigensolver, which finds the ground state (the top eigenpair of -H)
 and the contraction constants of the bounds module.  Its basis takes the
@@ -56,8 +57,7 @@ class StepperConfig:
     method: str = SPLIT
     krylov_m: int = 24
     krylov_tol: float = 1e-10
-    store_states: bool = False
-    sample_times: tuple[float, ...] | None = None
+    sample_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -76,20 +76,13 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded sample times, optional states, and norm bookkeeping."""
+    """The final state of one run and its norm bookkeeping."""
 
-    times: list[float]
-    states: list[WaveFunction] | None
+    terminal_state: WaveFunction
     max_step_drift: float
     terminal_norm: float
     nsteps: int
     method: str
-
-    @property
-    def terminal_state(self) -> WaveFunction:
-        if not self.states:
-            raise ConfigError("trajectory was run without stored states")
-        return self.states[-1]
 
 
 def _split_stepper(spec: HamiltonianSpec, grid: Grid,
@@ -253,11 +246,10 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
            on_sample: Callable[[float, WaveFunction], None] | None = None) -> Trajectory:
     """Propagate psi0 from t0 to t_final with per-step norm bookkeeping.
 
-    The trajectory records the requested sample times, which must land on
-    step boundaries, and the states at those times when config.store_states
-    is set.  on_sample(t, psi) is called once per sample time, in order, with
-    the running state; psi is valid only during the call, so a hook that
-    keeps it must copy it.
+    The trajectory holds the state at t_final.  on_sample(t, psi) is called
+    once per config.sample_times entry, in step order, with the running
+    state; the sample times must land on step boundaries, and psi is valid
+    only during the call, so a hook that keeps it must copy it.
     """
     grid = psi0.grid
     n0 = norm(psi0)
@@ -268,11 +260,8 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
     if abs(config.t0 + nsteps * config.dt - config.t_final) > TIME_MATCH_TOL * max(1.0, abs(config.t_final)):
         raise ConfigError("dt must divide t_final - t0")
 
-    sample_times = config.sample_times
-    if sample_times is None:
-        sample_times = (config.t0, config.t_final) if nsteps > 0 else (config.t0,)
     sample_index: dict[int, float] = {}
-    for s in sample_times:
+    for s in config.sample_times:
         k = int(round((s - config.t0) / config.dt))
         if k < 0 or k > nsteps or abs(config.t0 + k * config.dt - s) > TIME_MATCH_TOL * max(1.0, abs(s)):
             raise ConfigError(f"sample time {s} does not land on a step boundary")
@@ -288,20 +277,13 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
                                        t_mid - 0.5 * config.dt, config.dt,
                                        config.krylov_m, config.krylov_tol)
 
-    traj = Trajectory(times=[], states=[] if config.store_states else None,
-                      max_step_drift=0.0, terminal_norm=n0, nsteps=nsteps,
-                      method=config.method)
-
-    def record(k: int, psi_now: WaveFunction) -> None:
-        traj.times.append(sample_index[k])
-        if config.store_states:
-            traj.states.append(psi_now.copy())
-        if on_sample is not None:
-            on_sample(sample_index[k], psi_now)
+    def record(k: int) -> None:
+        if on_sample is not None and k in sample_index:
+            on_sample(sample_index[k], WaveFunction(grid, values))
 
     values = psi0.values.copy()
-    if 0 in sample_index:
-        record(0, WaveFunction(grid, values))
+    record(0)
+    max_drift = 0.0
     prev_norm = n0
     bound = config.drift_bound
     sqrt_vol = np.sqrt(grid.cell_volume)
@@ -315,12 +297,10 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
         if drift > bound:
             raise NumericalError(
                 f"norm drift {drift:.2e} exceeded the bound {bound:.1e} at step {j}")
-        traj.max_step_drift = max(traj.max_step_drift, drift)
+        max_drift = max(max_drift, drift)
         prev_norm = cur_norm
-        if (j + 1) in sample_index:
-            record(j + 1, WaveFunction(grid, values))
-    traj.terminal_norm = prev_norm
-    return traj
+        record(j + 1)
+    return Trajectory(WaveFunction(grid, values), max_drift, prev_norm, nsteps, config.method)
 
 
 def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8):

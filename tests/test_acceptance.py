@@ -92,8 +92,7 @@ def test_criterion_2_dense_oracle_equivalence():
     steps = int(round((t1 - t0) / dt))
     for spec, grid in cases:
         psi = probe_ensemble(grid, 1, seed=5)[0]
-        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="krylov",
-                                 store_states=True, sample_times=(t1,))
+        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="krylov")
         out = prop.evolve(spec, psi, cfg).terminal_state
         ref = prop.dense_oracle_evolve(spec, psi, t0, t1, steps)
         err = spatial.norm(spatial.WaveFunction(grid, out.values - ref.values))
@@ -108,8 +107,7 @@ def test_criterion_2_dense_oracle_equivalence():
     steps = int(round((t1 - t0) / dt))
     for spec in (ham.dipole_velocity(fld, pot), ham.dipole_length(fld, pot)):
         psi = probe_ensemble(g1, 1, seed=6)[0]
-        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split",
-                                 store_states=True, sample_times=(t1,))
+        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split")
         out = prop.evolve(spec, psi, cfg).terminal_state
         ref = prop.dense_oracle_evolve(spec, psi, t0, t1, steps)
         err = spatial.norm(spatial.WaveFunction(g1, out.values - ref.values))
@@ -141,8 +139,7 @@ def test_criterion_3_volkov_phase_oracle():
     spec = ham.dipole_velocity(fields.ScaledField(env, 10.0, om),
                                ham.zero_potential())
     psi = spatial.gaussian_packet(g, 0.0, 2.0, 0.5)
-    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split",
-                             store_states=True, sample_times=(t1,))
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split")
     out = prop.evolve(spec, psi, cfg).terminal_state
     phase = g.k_square * (t1 - t0) + i_b2
     ref = np.fft.ifftn(np.exp(-1j * phase) * np.fft.fftn(psi.values))
@@ -156,8 +153,7 @@ def test_criterion_3_volkov_phase_oracle():
     spec2 = ham.dipole_velocity(fields.ScaledField(env2, 16.0, om),
                                 ham.zero_potential())
     psi2 = spatial.gaussian_packet(g2, 0.0, 2.0, [0.5, -0.3])
-    cfg2 = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split",
-                              store_states=True, sample_times=(t1,))
+    cfg2 = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split")
     out2 = prop.evolve(spec2, psi2, cfg2).terminal_state
     phase2 = g2.k_square * (t1 - t0) - 2.0 * g2.k_mesh(1) * i_b + i_b2
     ref2 = np.fft.ifftn(np.exp(-1j * phase2) * np.fft.fftn(psi2.values))

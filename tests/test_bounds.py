@@ -74,8 +74,8 @@ def dense_oracle_operators():
     x, y = g2.mesh(0), g2.mesh(1)
     bx = 0.6 * np.sin(2 * np.pi * x / 8.0) + 0.2 * np.cos(2 * np.pi * y / 6.0)
     by = 0.3 * np.cos(2 * np.pi * x / 8.0)
-    yield bounds.CouplingOperator(g2, {0: bx, 1: by}, bx ** 2 + by ** 2,
-                                  -1.0 / np.sqrt(1.0 + x ** 2 + y ** 2))
+    yield bounds.CouplingOperator(g2, 0.0, bx ** 2 + by ** 2 - 1.0 / np.sqrt(1.0 + x ** 2 + y ** 2),
+                                  [(2j * bx, 1j * g2.k_mesh(0)), (2j * by, 1j * g2.k_mesh(1))])
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["soft-core-1d", "in-plane-2d"])
@@ -116,7 +116,7 @@ def test_contraction_restart_cap_raises(monkeypatch):
 
 def test_contraction_overflow_is_a_numerical_error():
     g = spatial.make_grid(1, 64, 10.0)
-    w = bounds.CouplingOperator(g, {}, 0.0, np.full(g.shape, 1e200))
+    w = bounds.CouplingOperator(g, 0.0, np.full(g.shape, 1e200), [])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalError, match="non-finite") as info:
@@ -144,25 +144,42 @@ def test_contraction_requires_increasing_alphas():
         bounds.resolvent_apply(np.zeros(64, complex), g, -1.0)
 
 
-def test_adjoint_identity():
-    # <phi, W psi> == <W^dag phi, psi> for an arbitrary (non-Hermitian) W
+def adjoint_identity_operators():
     g = spatial.make_grid(1, 128, 16.0)
     x = g.mesh(0)
     b_var = 0.5 * np.sin(2 * np.pi * x / 16.0)   # x-dependent drift, div != 0
-    w = bounds.CouplingOperator(g, {0: b_var}, 0.3, 0.1 * np.cos(2 * np.pi * x / 16.0))
-    rng = np.random.default_rng(5)
-    phi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    psi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    lhs = np.vdot(phi, w.apply(psi))
-    rhs = np.vdot(w.adjoint_apply(phi), psi)
-    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+    yield bounds.CouplingOperator(g, 0.0, 0.3 + 0.1 * np.cos(2 * np.pi * x / 16.0),
+                                  [(2j * b_var, 1j * g.k_mesh(0))])
+    spec, g2 = in_plane_spec_and_grid()
+    # an array shift: the in-plane dipole velocity coupling
+    w = bounds.CouplingOperator.from_spec(ham.dipole_velocity(spec.field, spec.potential),
+                                          0.3, g2)
+    assert np.ndim(w.shift) == 2 and not w.grads
+    yield w
+    # gradient terms: the in-plane full coupling
+    w = bounds.CouplingOperator.from_spec(spec, 0.3, g2)
+    assert np.ndim(w.shift) == 0 and w.grads
+    yield w
+
+
+def test_adjoint_identity():
+    # <phi, W psi> == <W^dag phi, psi> for an arbitrary (non-Hermitian) W and
+    # for the from_spec operators with an array shift and with gradient terms
+    for w in adjoint_identity_operators():
+        rng = np.random.default_rng(5)
+        shape = w.grid.shape
+        phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lhs = np.vdot(phi, w.apply(psi))
+        rhs = np.vdot(w.adjoint_apply(phi), psi)
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
 def test_infinitesimal_bound_bounded_multiplication():
     g = spatial.make_grid(1, 256, 20.0)
     x = g.mesh(0)
     v = -0.7 * np.exp(-x ** 2 / 8.0)   # ||V||_inf = 0.7
-    w = bounds.CouplingOperator(g, {}, 0.0, v)
+    w = bounds.CouplingOperator(g, 0.0, v, [])
     probes = bounds.probe_ensemble(g, 64, seed=3)
     eps = [0.0, 0.01, 0.05, 0.1, 0.5, 1.0]
     c = bounds.infinitesimal_bound_scan(w, eps, probes)
@@ -366,6 +383,35 @@ def test_coupling_operator_applies_a_stack_row_by_row():
         batched = method(stack)
         for row, got in zip(stack, batched):
             np.testing.assert_array_equal(got, method(row))
+
+
+def kind_cases():
+    """(spec, grid) per generator kind and geometry, keyed by name."""
+    pot = ham.soft_core_coulomb(1.0, 1.0)
+    line = spatial.make_grid(1, 256, 40.0)
+    plane = spatial.make_grid(2, [16, 8], [8.0, 6.0])
+    transverse = fields.ScaledField(fields.transverse_envelope("pulse", 0.5, 1), 8.0, 1.0)
+    in_plane = fields.ScaledField(fields.in_plane_envelope("cw", 0.5), 8.0, 1.0)
+    return {
+        "full-transverse": (ham.full_coupling(transverse, pot), line),
+        "full-in-plane": (ham.full_coupling(in_plane, pot), plane),
+        "dipole-velocity-off-grid": (ham.dipole_velocity(transverse, pot), line),
+        "dipole-velocity-in-plane": (ham.dipole_velocity(in_plane, pot), plane),
+        "dipole-length-off-grid": (ham.dipole_length(transverse, pot), line),
+        "dipole-length-on-grid": (ham.dipole_length(in_plane, pot), plane),
+    }
+
+
+@pytest.mark.parametrize("case", list(kind_cases()))
+def test_hamiltonian_is_minus_laplacian_plus_coupling(case):
+    # H and W read the same coupling_terms, so H = -Lap + W for every kind
+    spec, g = kind_cases()[case]
+    rng = np.random.default_rng(9)
+    psi = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    minus_lap = np.fft.ifftn(g.k_square * np.fft.fftn(psi))
+    h_psi = ham.hamiltonian_apply_fn(spec, 0.3, g)(psi)
+    w_psi = bounds.CouplingOperator.from_spec(spec, 0.3, g).apply(psi)
+    assert np.max(np.abs(h_psi - (minus_lap + w_psi))) <= 1e-12 * np.max(np.abs(h_psi))
 
 
 def test_probe_blocks_stay_within_the_point_budget():

@@ -47,14 +47,15 @@ def _cross_gauge_min_fidelity(grid, fld, potential, dt, t0, t1, n_marks=8):
     spec_l = ham.dipole_length(fld, potential)
     _, psi0 = prop.ground_state_imaginary_time(potential, grid, tol=1e-7)
     sample = tuple(t0 + (t1 - t0) * j / n_marks for j in range(n_marks + 1))
-    mk = lambda: prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split",
-                                    store_states=True, sample_times=sample)
-    traj_v = prop.evolve(spec_v, psi0, mk())
-    traj_l = prop.evolve(spec_l, gauge.velocity_to_length(psi0, fld, t0), mk())
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split", sample_times=sample)
+    marks_v, marks_l = [], []
+    prop.evolve(spec_v, psi0, cfg, on_sample=lambda t, p: marks_v.append(p.copy()))
+    prop.evolve(spec_l, gauge.velocity_to_length(psi0, fld, t0), cfg,
+                on_sample=lambda t, p: marks_l.append(p.copy()))
     fids = [gauge.phase_fidelity(gauge.velocity_to_length(sv, fld, t), sl)
-            for t, sv, sl in zip(traj_v.times, traj_v.states, traj_l.states)]
+            for t, sv, sl in zip(sample, marks_v, marks_l)]
     rev = [gauge.phase_fidelity(gauge.length_to_velocity(sl, fld, t), sv)
-           for t, sv, sl in zip(traj_v.times, traj_v.states, traj_l.states)]
+           for t, sv, sl in zip(sample, marks_v, marks_l)]
     return min(min(fids), min(rev))
 
 

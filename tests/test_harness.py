@@ -1,12 +1,16 @@
 import configparser
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dipolelab
 from dipolelab import cli, harness
 from dipolelab.errors import ConfigError, NumericalError
 
@@ -459,6 +463,39 @@ def test_cli_calls_in_one_process_parse_independently(tmp_path):
     args = cli.build_parser().parse_args(["preset", "cw-1d"])
     assert (args.command, args.name, args.seed, args.threads) == ("preset", "cw-1d", None, 1)
     assert not hasattr(args, "config")
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# records the thread settings numpy sees when it is first imported
+NUMPY_LOAD_WATCH = """
+import importlib.abc, json, os, sys
+seen = []
+
+class Watch(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({v: os.environ.get(v) for v in %r})
+
+sys.meta_path.insert(0, Watch())
+import dipolelab.cli
+print(json.dumps(seen[0]))
+""" % (BLAS_THREAD_VARS,)
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "explicit"])
+def test_cli_pins_one_blas_thread_before_numpy_loads(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(dipolelab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", NUMPY_LOAD_WATCH], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out)
+    # a value already in the environment wins
+    assert seen == {"OPENBLAS_NUM_THREADS": preset or "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
 
 
 def test_cli_sweep_and_reports(tmp_path, capsys):

@@ -25,8 +25,7 @@ def cw_dipole_spec(amplitude=0.5, lam=10.0, potential=None, grid_dim=1):
 
 def one_step(spec, psi, t, dt, method):
     """The state after one evolve step from t to t + dt."""
-    cfg = prop.StepperConfig(dt=dt, t0=t, t_final=t + dt, method=method,
-                             store_states=True, sample_times=(t + dt,))
+    cfg = prop.StepperConfig(dt=dt, t0=t, t_final=t + dt, method=method)
     return prop.evolve(spec, psi, cfg).terminal_state
 
 
@@ -59,8 +58,7 @@ def test_split_full_transverse_matches_dense_oracle(kind):
     spec = ham.full_coupling(fields.ScaledField(env, 10.0, 1.0), ham.soft_core_coulomb(1.0, 1.0))
     t0, t1, dt = 0.1, 0.35, 1e-5
     psi = probe_ensemble(g, 1, seed=6)[0]
-    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split",
-                             store_states=True, sample_times=(t1,))
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split")
     out = prop.evolve(spec, psi, cfg).terminal_state
     ref = prop.dense_oracle_evolve(spec, psi, t0, t1, int(round((t1 - t0) / dt)))
     err = spatial.norm(spatial.WaveFunction(g, out.values - ref.values))
@@ -75,8 +73,7 @@ def test_split_momentum_phase_oracle():
     psi = spatial.gaussian_packet(g, 0.0, 2.0, 0.5)
     t0, dt, steps = 0.1, 1e-3, 700
     t1 = t0 + steps * dt
-    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split",
-                             store_states=True, sample_times=(t1,))
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split")
     traj = prop.evolve(spec, psi, cfg)
     b_sq, _ = quad(lambda s: (E / om * np.sin(-om * s)) ** 2, t0, t1, epsabs=1e-13)
     phase = g.k_square * (t1 - t0) + b_sq   # polarization off-grid: b.k term absent
@@ -115,8 +112,7 @@ def test_two_method_agreement_over_unit_time():
     t0, t1, dt = 0.01, 1.01, 5e-4
     outs = {}
     for method in ("split", "krylov"):
-        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method=method,
-                                 store_states=True, sample_times=(t1,))
+        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method=method)
         outs[method] = prop.evolve(spec, psi, cfg).terminal_state
     err = np.linalg.norm((outs["split"].values - outs["krylov"].values).ravel()) \
         * np.sqrt(g.cell_volume)
@@ -184,8 +180,7 @@ def test_evolve_rejects_non_finite_state():
 def test_evolve_identity_when_span_is_zero():
     g = spatial.make_grid(1, 64, 20.0)
     psi = spatial.gaussian_packet(g, 0.0, 1.5, 0.0)
-    cfg = prop.StepperConfig(dt=1e-2, t0=0.5, t_final=0.5, method="split",
-                             store_states=True)
+    cfg = prop.StepperConfig(dt=1e-2, t0=0.5, t_final=0.5, method="split")
     traj = prop.evolve(cw_dipole_spec(0.5, 10.0), psi, cfg)
     np.testing.assert_array_equal(traj.terminal_state.values, psi.values)
 
@@ -215,11 +210,12 @@ def test_evolve_records_states_at_sample_times():
     spec = cw_dipole_spec(0.5, 10.0)
     _, psi = prop.ground_state_imaginary_time(spec.potential, g, tol=1e-7)
     times = tuple(0.01 + j * 0.05 for j in range(5))
-    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=times[-1],
-                             sample_times=times, store_states=True)
-    traj = prop.evolve(spec, psi, cfg)
-    assert traj.times == list(times)
-    assert len(traj.states) == 5
+    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=times[-1], sample_times=times)
+    marks = []
+    traj = prop.evolve(spec, psi, cfg, on_sample=lambda t, p: marks.append((t, p.copy())))
+    assert [t for t, _ in marks] == list(times)
+    # the last mark is the final state, which the trajectory holds
+    np.testing.assert_array_equal(marks[-1][1].values, traj.terminal_state.values)
 
 
 def test_on_sample_hook_sees_each_sample_once_in_step_order():
@@ -227,16 +223,17 @@ def test_on_sample_hook_sees_each_sample_once_in_step_order():
     spec = cw_dipole_spec(0.5, 10.0)
     psi = spatial.gaussian_packet(g, 0.0, 1.5, 0.5)
     times = (0.21, 0.01, 0.11, 0.11, 0.06)   # out of order, one repeated
-    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=0.21, sample_times=times,
-                             store_states=True)
+    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=0.21, sample_times=times)
     plain = prop.evolve(spec, psi, cfg)
     seen = []
     hooked = prop.evolve(spec, psi, cfg,
                          on_sample=lambda t, p: seen.append((t, p.values.copy())))
-    assert [t for t, _ in seen] == plain.times == hooked.times == [0.01, 0.06, 0.11, 0.21]
-    for (_, values), a, b in zip(seen, plain.states, hooked.states):
-        np.testing.assert_array_equal(values, a.values)
-        np.testing.assert_array_equal(b.values, a.values)
+    assert [t for t, _ in seen] == [0.01, 0.06, 0.11, 0.21]
+    # each mark is the final state of a run that stops there
+    for t, values in seen:
+        upto = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=t)
+        np.testing.assert_array_equal(values, prop.evolve(spec, psi, upto).terminal_state.values)
+    np.testing.assert_array_equal(hooked.terminal_state.values, plain.terminal_state.values)
     assert ((hooked.nsteps, hooked.max_step_drift, hooked.terminal_norm)
             == (plain.nsteps, plain.max_step_drift, plain.terminal_norm))
 
@@ -309,8 +306,7 @@ def test_self_convergence_is_second_order(method):
     t0, t1 = 0.02, 0.66
     terminal = {}
     for dt in (0.016, 0.008, 0.002):   # the finest run serves as reference
-        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method=method,
-                                 store_states=True, sample_times=(t1,))
+        cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method=method)
         terminal[dt] = prop.evolve(spec, psi, cfg).terminal_state.values
     e_coarse = np.linalg.norm((terminal[0.016] - terminal[0.002]).ravel())
     e_fine = np.linalg.norm((terminal[0.008] - terminal[0.002]).ravel())
@@ -341,8 +337,7 @@ def test_reversibility_conjugation_time_independent():
     _, psi0 = prop.ground_state_imaginary_time(spec.potential, g, tol=1e-8)
     boosted = spatial.normalize(spatial.WaveFunction(
         g, psi0.values * np.exp(1j * 0.8 * g.mesh(0))))
-    cfg = prop.StepperConfig(dt=5e-3, t0=0.01, t_final=1.01, method="split",
-                             store_states=True, sample_times=(1.01,))
+    cfg = prop.StepperConfig(dt=5e-3, t0=0.01, t_final=1.01, method="split")
     fwd = prop.evolve(spec, boosted, cfg).terminal_state
     back = prop.evolve(spec, spatial.WaveFunction(g, np.conj(fwd.values)), cfg).terminal_state
     err = np.linalg.norm((np.conj(back.values) - boosted.values).ravel()) * np.sqrt(g.cell_volume)
