@@ -13,7 +13,10 @@ seeded probe ensembles:
     (propagate._top_eigenpair), which stops once the top Ritz pair's
     residual is at most RITZ_RTOL = 1e-8 times its Ritz value.  Shifts run
     in increasing order, each warm-started from the previous top
-    eigenvector plus the seeded random start.
+    eigenvector plus the seeded random start.  When W is real (a real
+    diagonal, no shift array and no gradient terms, as on every preset) the
+    normal operator is real symmetric and the scan runs on a real start, a
+    real Lanczos basis and real transforms.
   * infinitesimal_bound_scan: smallest C with ||W psi||^2 <= eps ||Lap psi||^2
     + C ||psi||^2 over the probes (a lower bound on the true constant).
   * graph_norm_constants: the ratio between the discrete second Sobolev norm
@@ -44,7 +47,7 @@ from .errors import ConfigError
 from .hamiltonians import HamiltonianSpec, coupling_terms, hamiltonian_apply_fn
 from .hamiltonians import potential_on_grid  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .propagate import _top_eigenpair
-from .spatial import Grid, WaveFunction, fourier_pair
+from .spatial import Grid, WaveFunction, fourier_pair, real_fourier_pair
 
 # relative residual at which the top Ritz value q(alpha)^2 is accepted
 RITZ_RTOL = 1e-8
@@ -90,8 +93,17 @@ class CouplingOperator:
         grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in (b_axes or {}).items()]
         return cls(grid, 0.0, b_sq + np.zeros(grid.shape), grads)
 
+    @property
+    def is_real(self) -> bool:
+        """W maps real states to real states: a real diagonal and nothing else."""
+        return not np.ndim(self.shift) and not self.grads and np.isrealobj(self.diagonal)
+
+    def _diagonal_apply(self, values: np.ndarray) -> np.ndarray:
+        # a real W keeps a real input real; any other W gives a complex output
+        return np.multiply(self.diagonal, values, dtype=None if self.is_real else complex)
+
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = np.multiply(self.diagonal, values, dtype=complex)
+        out = self._diagonal_apply(values)
         if np.ndim(self.shift) or self.grads:
             forward, inverse = fourier_pair(self.grid)
             vhat = forward(values)
@@ -105,7 +117,7 @@ class CouplingOperator:
     def adjoint_apply(self, values: np.ndarray) -> np.ndarray:
         # the real shift and diagonal are self-adjoint, and
         # (g F^-1 ik F)^dagger = F^-1 conj(ik) F conj(g)
-        out = np.multiply(self.diagonal, values, dtype=complex)
+        out = self._diagonal_apply(values)
         forward, inverse = fourier_pair(self.grid)
         if np.ndim(self.shift):
             out += inverse(self.shift * forward(values))
@@ -120,10 +132,17 @@ def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
     """(-Lap + alpha)^-power, diagonal in momentum space; leading axes are a batch.
 
     power=2 serves the contraction scan's normal operator W R^2 W^dag: one
-    transform pair where two resolvents would take two.
+    transform pair where two resolvents would take two.  The symbol is real
+    and even in k, so a real input goes through the real transforms, on the
+    half spectrum, and gives a real output.
     """
     if alpha <= 0:
         raise ConfigError("resolvent shift must be positive")
+    if values.dtype.kind == "f":
+        forward, inverse = real_fourier_pair(grid)
+        vhat = forward(values)
+        vhat /= (grid.k_square[..., :grid.shape[-1] // 2 + 1] + alpha) ** power
+        return inverse(vhat)
     forward, inverse = fourier_pair(grid)
     vhat = forward(values)
     vhat /= (grid.k_square + alpha) ** power
@@ -138,14 +157,18 @@ def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
     W R^2 W^dag.  The first shift starts from a seeded random unit vector r;
     each later one from the previous top eigenvector plus r, since the old
     eigenvector alone can span an invariant subspace of the new operator
-    that misses its top.
+    that misses its top.  A real W makes the normal operator real symmetric:
+    r is then the real part of the complex draw, and the Lanczos basis and
+    the transforms stay real.
     """
     alphas = [float(a) for a in alphas]
     if sorted(alphas) != alphas:
         raise ConfigError("alpha grid must be increasing")
     grid = w_op.grid
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    r = rng.standard_normal(grid.shape)
+    if not w_op.is_real:
+        r = r + 1j * rng.standard_normal(grid.shape)
     r /= np.linalg.norm(r.ravel())
     q = np.empty(len(alphas))
     start = r

@@ -13,8 +13,8 @@ One Lanczos recurrence serves the Krylov step and the one restarted-Lanczos
 extremal eigensolver, which finds the ground state (the top eigenpair of -H)
 and the contraction constants of the bounds module.  Its basis takes the
 arithmetic of its start vector and operator: the ground state of the real
--Lap + V is solved on a real basis with real transforms, while the Krylov
-step and the contraction scan keep complex bases.
+-Lap + V, and the contraction constants of a real coupling W, are solved on
+real bases with real transforms, while the Krylov step keeps a complex basis.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int, local: bool = False):
     the caller stops early by leaving the loop.  apply_fn must return a new
     array, not a view of its argument.  The basis takes the result type of v0
     and the first apply: a real operator started from a real vector (the
-    ground state of -Lap + V) keeps a real basis of half the memory.
+    ground state of -Lap + V, the normal operator of a real W) keeps a real
+    basis of half the memory.
     """
     shape = v0.shape
     w = apply_fn(v0).ravel()

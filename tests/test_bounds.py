@@ -440,3 +440,84 @@ def test_resolvent_power_two_is_two_applications():
     y = x.copy()
     bounds.resolvent_apply(y, g, 1.0, power=2)
     np.testing.assert_array_equal(x, y)
+
+
+# -- a real coupling W runs the contraction scan in real arithmetic ------------
+
+
+def test_real_coupling_applies_keep_a_real_input_real():
+    w, g = preset_w_operator()
+    assert w.is_real
+    x = np.random.default_rng(6).standard_normal((3,) + g.shape)
+    for method in (w.apply, w.adjoint_apply):
+        got = method(x)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, method(x.astype(complex)).real)
+
+
+@pytest.mark.parametrize("shape, lengths", [((256,), (40.0,)), ((16, 32), (8.0, 12.0))],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("power", [1, 2])
+def test_real_resolvent_matches_the_complex_one(shape, lengths, power):
+    g = spatial.make_grid(len(shape), list(shape), list(lengths))
+    x = np.random.default_rng(7).standard_normal((2,) + g.shape)
+    y = x.copy()
+    for alpha in (0.5, 10.0):
+        got = bounds.resolvent_apply(y, g, alpha, power=power)
+        want = bounds.resolvent_apply(x.astype(complex), g, alpha, power=power)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    np.testing.assert_array_equal(x, y)
+
+
+def two_body_w_operator():
+    env = fields.transverse_envelope("cw", 0.2, 1)
+    spec = ham.dipole_velocity(fields.ScaledField(env, 10.0, 1.0), ham.n_body_soft_core(2, 1.0))
+    g = spatial.make_grid(2, 32, 40.0, particles=2)
+    return bounds.CouplingOperator.from_spec(spec, 0.1, g)
+
+
+@pytest.mark.parametrize("make", [lambda: preset_w_operator()[0], two_body_w_operator],
+                         ids=["soft-core-1d", "two-body-32x32"])
+def test_real_and_complex_scans_agree(make):
+    # a complex-typed diagonal takes the complex path on the same operator
+    w = make()
+    w_complex = replace(w, diagonal=w.diagonal.astype(complex))
+    assert w.is_real and not w_complex.is_real
+    _, q_real, star_real = bounds.contraction_scan(w, bounds.SUITE_ALPHAS, seed=9)
+    _, q_complex, star_complex = bounds.contraction_scan(w_complex, bounds.SUITE_ALPHAS, seed=9)
+    np.testing.assert_allclose(q_real, q_complex, rtol=1e-12, atol=0.0)
+    assert star_real == star_complex
+
+
+@pytest.mark.parametrize("preset", harness.PRESETS)
+def test_presets_scan_on_real_start_vectors(monkeypatch, preset):
+    starts = []
+
+    def spy(apply_fn, v0, *args, **kwargs):
+        starts.append(v0.dtype)
+        return propagate._top_eigenpair(apply_fn, v0, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_top_eigenpair", spy)
+    harness.run_bounds_check(harness.preset_config(preset))
+    assert starts == [np.dtype(np.float64)] * len(bounds.SUITE_ALPHAS)
+
+
+def test_real_contraction_scan_holds_a_real_basis():
+    # a 24-vector complex basis of a 64x64 grid is 24 complex states alone;
+    # the real basis is the size of 12
+    env = fields.transverse_envelope("cw", 0.25, 2)
+    spec = ham.dipole_velocity(fields.ScaledField(env, 10.0, 1.0),
+                               ham.soft_core_coulomb(1.0, 1.0))
+    g = spatial.make_grid(2, 64, 40.0)
+    w = bounds.CouplingOperator.from_spec(spec, 0.1, g)
+    state_bytes = g.npoints * 16
+    # a first run loads numpy.random's lazy submodules and the grid's caches
+    bounds.contraction_scan(w, [1.0], seed=4)
+    tracemalloc.start()
+    try:
+        bounds.contraction_scan(w, bounds.SUITE_ALPHAS, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * state_bytes
