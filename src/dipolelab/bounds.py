@@ -37,6 +37,7 @@ never extrapolated to the continuum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -136,8 +137,8 @@ def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
     and even in k, so a real input goes through the real transforms, on the
     half spectrum, and gives a real output.
     """
-    if alpha <= 0:
-        raise ConfigError("resolvent shift must be positive")
+    if not 0 < alpha < math.inf:
+        raise ConfigError("resolvent shift must be finite and positive")
     if values.dtype.kind == "f":
         forward, inverse = real_fourier_pair(grid)
         vhat = forward(values)
@@ -288,6 +289,8 @@ def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
     """[min, max] over probes of ||psi||_{W^{2,2}} / (||psi|| + ||(H+alpha) psi||)."""
     if len(probes) < 1:
         raise ConfigError("need at least one probe")
+    if not math.isfinite(alpha):
+        raise ConfigError("graph-norm shift must be finite")
     grid = probes[0].grid
     fn = hamiltonian_apply_fn(spec, t, grid)
     forward, _ = fourier_pair(grid)

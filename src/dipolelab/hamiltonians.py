@@ -119,29 +119,14 @@ def potential_on_grid(pot: PotentialModel, grid: Grid) -> np.ndarray:
     return out
 
 
-def _radius_sq(grid: Grid, particle: int) -> np.ndarray:
-    d = grid.per_particle_dim
-    r2 = np.zeros((1,) * grid.dim)
-    for i in range(d):
-        x = grid.mesh(particle * d + i)
-        r2 = r2 + x * x
-    return r2
-
-
 def _sample_potential(pot: PotentialModel, grid: Grid) -> np.ndarray:
     if pot.kind == ZERO_POTENTIAL:
         return np.zeros(grid.shape)
     if pot.kind == SOFT_CORE:
-        r2 = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            x = grid.mesh(axis)
-            r2 = r2 + x * x
+        r2 = grid.radius_sq(range(grid.dim))
         return -2.0 * pot.z / np.sqrt(r2 + pot.eps ** 2)
     if pot.kind == GAUSSIAN_WELL:
-        r2 = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            x = grid.mesh(axis)
-            r2 = r2 + x * x
+        r2 = grid.radius_sq(range(grid.dim))
         return -pot.depth * np.exp(-r2 / (2.0 * pot.width ** 2))
     if pot.kind == NBODY_SOFT_CORE:
         n = pot.n_particles
@@ -151,7 +136,7 @@ def _sample_potential(pot: PotentialModel, grid: Grid) -> np.ndarray:
         eps2 = pot.eps ** 2
         v = np.zeros(grid.shape)
         for p in range(n):
-            v = v - 2.0 * n / np.sqrt(_radius_sq(grid, p) + eps2)
+            v = v - 2.0 * n / np.sqrt(grid.radius_sq(range(p * d, (p + 1) * d)) + eps2)
         for p in range(n):
             for q in range(p + 1, n):
                 sep2 = np.zeros((1,) * grid.dim)
@@ -242,46 +227,31 @@ def generator_terms(spec: HamiltonianSpec, t: float, grid: Grid):
     return sym, diag, grads
 
 
-_UNDECIDED = object()
-
-
-def _half_spectrum_symbol(sym: np.ndarray, grid: Grid) -> np.ndarray | None:
-    """sym on the real transform's half spectrum, or None unless sym(-k) == sym(k).
-
-    An even real symbol maps Hermitian spectra to Hermitian spectra, so with
-    a real diagonal and no gradient terms H maps real states to real states.
-    """
-    axes = tuple(range(grid.dim))
-    if not np.array_equal(sym, np.roll(np.flip(sym, axes), 1, axes)):
-        return None
-    return np.ascontiguousarray(sym[..., :grid.shape[-1] // 2 + 1])
-
-
 def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
                          grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     """Closure applying H(t) to raw value arrays; the ``generator_terms`` at t.
 
-    When the terms keep states real (no gradient terms, a symbol even in k),
-    a real input is applied with real transforms and gives a real output.
-    The closure decides this once, on its first real input; every other
-    input takes the complex transforms.
+    When H is -Lap plus a real diagonal (the symbol is the cached
+    ``grid.k_square`` and there are no gradient terms: the field-free and
+    length generators and the full generator with off-grid polarization), H
+    keeps real states real, and a real input is applied with real transforms
+    on the half spectrum and gives a real output.  The terms decide this when
+    the closure is built; every other input takes the complex transforms.
     """
     sym, diag, grads = generator_terms(spec, t, grid)
     forward, inverse = fourier_pair(grid)
-    rforward, rinverse = real_fourier_pair(grid)
-    half_sym = _UNDECIDED
+    keeps_real = sym is grid.k_square and not grads
+    if keeps_real:
+        rforward, rinverse = real_fourier_pair(grid)
+        half_sym = sym[..., :grid.shape[-1] // 2 + 1]
 
     def apply(values: np.ndarray) -> np.ndarray:
-        nonlocal half_sym
-        if values.dtype.kind == "f":
-            if half_sym is _UNDECIDED:
-                half_sym = None if grads else _half_spectrum_symbol(sym, grid)
-            if half_sym is not None:
-                vhat = rforward(values)
-                vhat *= half_sym
-                out = rinverse(vhat)
-                out += diag * values
-                return out
+        if keeps_real and values.dtype.kind == "f":
+            vhat = rforward(values)
+            vhat *= half_sym
+            out = rinverse(vhat)
+            out += diag * values
+            return out
         vhat = forward(values)
         # the gradient terms read vhat again, so only a gradient-free H
         # multiplies and transforms it in place

@@ -225,9 +225,11 @@ class StudyConfig:
             return psi0, None
         raise ConfigError(f"unknown initial state recipe {self.initial_state!r}")
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[Grid, LaserEnvelope, PotentialModel]:
+        """Check the config; returns the grid, envelope and potential it checked."""
         grid = self.build_grid()
         env = self.build_envelope()
+        potential = self.build_potential()
         if self.start_time <= 0:
             raise ConfigError("t0 must be positive")
         if self.final_time <= self.start_time:
@@ -245,6 +247,7 @@ class StudyConfig:
             if not is_commensurate(env, grid, lam):
                 raise ConfigError(
                     f"lambda {lam} is not commensurate with the box; snap to L/m")
+        return grid, env, potential
 
     # -- serialization ----------------------------------------------------
 
@@ -356,10 +359,7 @@ def _fit_decay_slope(records) -> float | None:
 
 def run_convergence_sweep(config: StudyConfig) -> SweepResult:
     """e(lam) and B(lam) for every wavelength against the shared dipole run."""
-    config.validate()
-    grid = config.build_grid()
-    env = config.build_envelope()
-    potential = config.build_potential()
+    grid, env, potential = config.validate()
     psi0, energy = config.build_initial_state(grid)
     t0, t_final = config.start_time, config.final_time
 
@@ -431,10 +431,7 @@ def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> d
     omega_length deliberately detunes the length-gauge field (negative-control
     fixture); the default uses the config's omega on both sides.
     """
-    config.validate()
-    grid = config.build_grid()
-    env = config.build_envelope()
-    potential = config.build_potential()
+    grid, env, potential = config.validate()
     psi0, _ = config.build_initial_state(grid)
     t0, t_final = config.start_time, config.final_time
     lam = config.lambdas[0]
@@ -575,10 +572,7 @@ def run_field_check(config: StudyConfig) -> dict:
 
 def run_bounds_check(config: StudyConfig):
     """Bounds suite on the config's dipole generator at the start time."""
-    config.validate()
-    grid = config.build_grid()
-    env = config.build_envelope()
-    potential = config.build_potential()
+    grid, env, potential = config.validate()
     fld = ScaledField(env, config.lambdas[0], config.omega)
     spec = dipole_velocity(fld, potential)
     return run_bounds_suite(spec, config.start_time, grid, config.seed)

@@ -19,6 +19,7 @@ real bases with real transforms, while the Krylov step keeps a complex basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,10 +61,10 @@ class StepperConfig:
     sample_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if not (0 <= self.t0 <= self.t_final):
-            raise ConfigError("need 0 <= t0 <= t_final")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be finite and positive")
+        if not 0 <= self.t0 <= self.t_final < math.inf:
+            raise ConfigError("need finite 0 <= t0 <= t_final")
         if self.method not in (SPLIT, KRYLOV):
             raise ConfigError(f"unknown stepper method {self.method!r}")
         if not 8 <= self.krylov_m <= 64:
@@ -324,11 +325,7 @@ def ground_state_imaginary_time(potential, grid: Grid, tol: float = 1e-8):
     apply_h = hamiltonian_apply_fn(dipole_length(field, potential), 0.0, grid)
 
     sigma = max(1.0, 2.5 * max(grid.spacing))
-    r2 = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        x = grid.mesh(axis)
-        r2 = r2 + x * x
-    seed = np.exp(-r2 / (2.0 * sigma * sigma))
+    seed = np.exp(-grid.radius_sq(range(grid.dim)) / (2.0 * sigma * sigma))
     theta, values = _top_eigenpair(lambda x: -apply_h(x),
                                    seed / np.linalg.norm(seed.ravel()),
                                    "the negated field-free Hamiltonian", atol=tol)

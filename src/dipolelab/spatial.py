@@ -64,6 +64,14 @@ class Grid:
         shape[axis] = self.shape[axis]
         return x.reshape(shape)
 
+    def radius_sq(self, axes) -> np.ndarray:
+        """Sum of the squared coordinates over the given axes, shaped for broadcasting."""
+        r2 = np.zeros((1,) * self.dim)
+        for axis in axes:
+            x = self.mesh(axis)
+            r2 = r2 + x * x
+        return r2
+
     def k_axis(self, axis: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.shape[axis], d=self.spacing[axis])
 

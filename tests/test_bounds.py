@@ -144,6 +144,30 @@ def test_contraction_requires_increasing_alphas():
         bounds.resolvent_apply(np.zeros(64, complex), g, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_resolvent_rejects_a_non_finite_shift(alpha):
+    g = spatial.make_grid(1, 64, 10.0)
+    for x in (np.zeros(64), np.zeros(64, complex)):
+        with pytest.raises(ConfigError):
+            bounds.resolvent_apply(x, g, alpha)
+
+
+def test_contraction_scan_rejects_a_nan_shift():
+    # a NaN shift would run the scan on NaN states and end in NumericalError
+    w, _ = preset_w_operator()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            bounds.contraction_scan(w, [np.nan])
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_graph_norm_rejects_a_non_finite_shift(alpha):
+    probes = bounds.probe_ensemble(spatial.make_grid(1, 64, 20.0), 8, seed=1)
+    with pytest.raises(ConfigError):
+        bounds.graph_norm_constants(free_spec(), 0.0, alpha, probes)
+
+
 def adjoint_identity_operators():
     g = spatial.make_grid(1, 128, 16.0)
     x = g.mesh(0)

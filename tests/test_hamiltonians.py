@@ -217,16 +217,12 @@ def _field_free_length(potential):
 
 
 @pytest.mark.parametrize("case", ["soft-core-1d", "two-body-preset"])
-def test_real_input_takes_real_transforms_when_h_keeps_states_real(monkeypatch, case):
+def test_real_input_takes_real_transforms_when_h_keeps_states_real(case):
     if case == "soft-core-1d":
         g, pot = spatial.make_grid(1, 256, 40.0), ham.soft_core_coulomb(1.0, 1.0)
     else:
         cfg = harness.preset_config("two-body-1d")
         g, pot = cfg.build_grid(), cfg.build_potential()
-    decisions = []
-    decide = ham._half_spectrum_symbol
-    monkeypatch.setattr(ham, "_half_spectrum_symbol",
-                        lambda *a: (decisions.append(1), decide(*a))[1])
     fn = ham.hamiltonian_apply_fn(_field_free_length(pot), 0.0, g)
     rng = np.random.default_rng(12)
     for _ in range(2):
@@ -235,7 +231,30 @@ def test_real_input_takes_real_transforms_when_h_keeps_states_real(monkeypatch, 
         ref = fn(values.astype(complex))
         assert real.dtype == np.float64 and ref.dtype == np.complex128
         assert np.max(np.abs(real - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert decisions == [1]   # decided once, on the first real input
+
+
+@pytest.mark.parametrize("kind", [ham.FULL, ham.DIPOLE_VELOCITY, ham.DIPOLE_LENGTH])
+@pytest.mark.parametrize("plane", [False, True], ids=["off-grid-1d", "in-plane-2d"])
+def test_real_arithmetic_follows_the_terms(kind, plane):
+    # H is -Lap plus a real diagonal for the length kinds and the off-grid
+    # full kind; the off-grid velocity symbol is k^2 plus a nonzero scalar,
+    # the in-plane one (k - b)^2, and the in-plane full kind has gradient terms
+    if plane:
+        g = spatial.make_grid(2, [16, 16], [16.0, 16.0])
+        fld = fields.ScaledField(fields.in_plane_envelope("cw", 0.5), 8.0, 1.0)
+    else:
+        g = spatial.make_grid(1, 64, 20.0)
+        fld = fields.ScaledField(fields.transverse_envelope("pulse", 0.5, 1),
+                                 fields.snap_lambda(20.0, 2), 1.0)
+    fn = ham.hamiltonian_apply_fn(ham.HamiltonianSpec(kind, fld, ham.soft_core_coulomb()),
+                                  0.3, g)
+    values = np.random.default_rng(15).standard_normal(g.shape)
+    out, ref = fn(values), fn(values.astype(complex))
+    keeps_real = kind == ham.DIPOLE_LENGTH or (kind == ham.FULL and not plane)
+    assert out.dtype == (np.float64 if keeps_real else np.complex128)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if not keeps_real:
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", [ham.DIPOLE_VELOCITY, ham.FULL])

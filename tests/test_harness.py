@@ -369,6 +369,23 @@ def test_bounds_check_runs():
     assert rep.graph_interval[0] > 0
 
 
+@pytest.mark.parametrize("entry", ["run_convergence_sweep", "run_gauge_check",
+                                   "run_bounds_check"])
+def test_entry_points_build_their_setup_once(monkeypatch, entry):
+    # validate() hands the grid, envelope and potential it checked to the run
+    calls = []
+    for name in ("build_grid", "build_envelope", "build_potential"):
+        build = getattr(harness.StudyConfig, name)
+        monkeypatch.setattr(harness.StudyConfig, name,
+                            lambda self, build=build, name=name: (calls.append(name),
+                                                                  build(self))[1])
+    dt = np.pi / 512
+    cfg = trimmed_config(initial_state="packet", packet_sigma=3.0, t_final=dt + 64 * dt,
+                         panels=4)
+    getattr(harness, entry)(cfg)
+    assert sorted(calls) == ["build_envelope", "build_grid", "build_potential"]
+
+
 # -- CLI ------------------------------------------------------------------
 
 

@@ -445,6 +445,15 @@ def test_stepper_config_validation():
         prop.StepperConfig(dt=1e-2, t0=0.0, t_final=1.0, method="euler")
 
 
+@pytest.mark.parametrize("name, value", [("dt", np.inf), ("dt", np.nan), ("t0", np.nan),
+                                         ("t_final", np.inf), ("t_final", np.nan)])
+def test_stepper_config_rejects_non_finite_times(name, value):
+    # dt = inf would give a zero-step run that returns psi0 as the final state
+    times = {"dt": 1e-2, "t0": 0.0, "t_final": 1.0, name: value}
+    with pytest.raises(ConfigError):
+        prop.StepperConfig(**times)
+
+
 def _random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
