@@ -235,6 +235,9 @@ def _relative_constants(epsilons: Sequence[float], rows: np.ndarray) -> np.ndarr
     w_norms, lap_norms, norms = rows
     out = []
     for eps in epsilons:
+        # NaN fails the comparison too
+        if not 0.0 <= eps < math.inf:
+            raise ConfigError("relative-bound weights must be finite and non-negative")
         c = np.max((w_norms - float(eps) * lap_norms) / norms)
         out.append(max(0.0, float(c)))
     return np.array(out)

@@ -426,10 +426,14 @@ def run_cook_comparison(config: StudyConfig) -> list[CookReport]:
 def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> dict:
     """Velocity-gauge vs mapped length-gauge fidelity at the sample times.
 
-    The velocity run keeps copies of its marks; the length run compares each
-    of its marks as it passes, so only one trajectory's marks are held at once.
-    omega_length deliberately detunes the length-gauge field (negative-control
-    fixture); the default uses the config's omega on both sides.
+    The velocity gauge is one run; at each of its marks its hook advances the
+    length gauge from the previous mark by one run over the mark interval and
+    compares the two states there, so the check holds two running states and
+    copies no mark.  Each length run takes its step midpoints from its own
+    start, which moves a time-dependent (on-grid polarized) length generator
+    in the last bits only.  omega_length deliberately detunes the length-gauge
+    field (negative-control fixture); the default uses the config's omega on
+    both sides.
     """
     grid, env, potential = config.validate()
     psi0, _ = config.build_initial_state(grid)
@@ -443,18 +447,20 @@ def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> d
 
     span = t_final - t0
     sample = tuple(t0 + span * j / GAUGE_MARKS for j in range(GAUGE_MARKS + 1))
-    stepper = StepperConfig(dt=config.dt, t0=t0, t_final=t_final, method=SPLIT,
-                            sample_times=sample)
-    marks = []
-    evolve(spec_v, psi0, stepper, on_sample=lambda t, sv: marks.append(sv.copy()))
     fidelities, reverse = [], []
+    psi_l = velocity_to_length(psi0, fld_l, t0)
+    t_l = t0
 
-    def compare(t: float, sl: WaveFunction) -> None:
-        sv = marks.pop(0)
-        fidelities.append(phase_fidelity(velocity_to_length(sv, fld_l, t), sl))
-        reverse.append(phase_fidelity(length_to_velocity(sl, fld_l, t), sv))
+    def compare(t: float, sv: WaveFunction) -> None:
+        nonlocal psi_l, t_l
+        if t > t_l:
+            segment = StepperConfig(dt=config.dt, t0=t_l, t_final=t, method=SPLIT)
+            psi_l, t_l = evolve(spec_l, psi_l, segment).terminal_state, t
+        fidelities.append(phase_fidelity(velocity_to_length(sv, fld_l, t), psi_l))
+        reverse.append(phase_fidelity(length_to_velocity(psi_l, fld_l, t), sv))
 
-    evolve(spec_l, velocity_to_length(psi0, fld_l, t0), stepper, on_sample=compare)
+    evolve(spec_v, psi0, StepperConfig(dt=config.dt, t0=t0, t_final=t_final, method=SPLIT,
+                                       sample_times=sample), on_sample=compare)
     return {
         "lambda": lam,
         "omega_velocity": config.omega,

@@ -224,7 +224,8 @@ def _lanczos_expm(apply_fn, values: np.ndarray, dt: float, m: int, tol: float):
 
 def _check_hermiticity_guard(spec: HamiltonianSpec, t: float, grid: Grid) -> None:
     defect = hermiticity_defect(spec, t, grid)
-    if defect > KRYLOV_GUARD:
+    # a non-finite H gives a NaN defect, which fails the comparison too
+    if not defect <= KRYLOV_GUARD:
         raise NumericalError(
             f"hermiticity defect {defect:.2e} exceeds the Krylov guard {KRYLOV_GUARD}")
 
@@ -251,7 +252,9 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
     The trajectory holds the state at t_final.  on_sample(t, psi) is called
     once per config.sample_times entry, in step order, with the running
     state; the sample times must land on step boundaries, and psi is valid
-    only during the call, so a hook that keeps it must copy it.
+    only during the call, so a hook that keeps it must copy it.  A hook may
+    itself call evolve: the gauge check advances its length gauge from mark
+    to mark inside the velocity run's hook.
     """
     grid = psi0.grid
     n0 = norm(psi0)

@@ -168,6 +168,15 @@ def test_graph_norm_rejects_a_non_finite_shift(alpha):
         bounds.graph_norm_constants(free_spec(), 0.0, alpha, probes)
 
 
+@pytest.mark.parametrize("eps", [np.nan, -1.0, np.inf])
+def test_relative_bound_scan_rejects_a_bad_weight(eps):
+    # a NaN weight read C = 0 and -1 read 212.4, neither a bound
+    w, g = preset_w_operator()
+    probes = bounds.probe_ensemble(g, 64, seed=1)
+    with pytest.raises(ConfigError, match="relative-bound weights"):
+        bounds.infinitesimal_bound_scan(w, [0.1, eps], probes)
+
+
 def adjoint_identity_operators():
     g = spatial.make_grid(1, 128, 16.0)
     x = g.mesh(0)

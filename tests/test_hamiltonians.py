@@ -1,9 +1,10 @@
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dipolelab import fields, hamiltonians as ham, harness, spatial
+from dipolelab import fields, hamiltonians as ham, harness, propagate, spatial
 from dipolelab.errors import ConfigError
 
 
@@ -119,6 +120,41 @@ def test_hermiticity_negative_control():
     fld = fields.ScaledField(env, 20.0, 1.0)
     spec = ham.HamiltonianSpec("full", fld, ham.zero_potential())
     assert ham.hermiticity_defect(spec, 0.2, g) > 1e-4
+
+
+def test_hermiticity_defect_holds_the_probes_and_one_applied_state():
+    # M_ij = <p_i, H p_j> is built one apply at a time; with every applied
+    # state held next to the probes the peak was 18.5 states
+    g = spatial.make_grid(1, 8192, 80.0)
+    env = fields.transverse_envelope("cw", 0.25, 1)
+    spec = ham.full_coupling(fields.ScaledField(env, 10.0, 1.0), ham.soft_core_coulomb())
+    first = ham.hermiticity_defect(spec, 0.3, g)   # fills the module caches
+    tracemalloc.start()
+    try:
+        defect = ham.hermiticity_defect(spec, 0.3, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect == first <= 1e-10
+    assert peak < 14 * g.npoints * 16
+
+
+def test_hermiticity_defect_is_the_largest_pairwise_asymmetry():
+    # the defect is max over i <= j of |<p_i, H p_j> - <H p_i, p_j>| on the
+    # probes, here on a dense non-Hermitian H whose pairs are formed explicitly
+    g = spatial.make_grid(1, 64, 40.0)
+    env = fields.LaserEnvelope("cw", 1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    spec = ham.HamiltonianSpec("full", fields.ScaledField(env, 20.0, 1.0), ham.zero_potential())
+    rng = random.Random(ham.HERMITICITY_SEED)
+    probes = []
+    for _ in range(ham.HERMITICITY_PROBES):
+        parts = np.frombuffer(rng.randbytes(8 * g.npoints), dtype="<i4").astype(float)
+        vals = parts.view(complex)
+        probes.append(vals / (np.linalg.norm(vals) * np.sqrt(g.cell_volume)))
+    h = propagate.dense_hamiltonian(spec, 0.2, g)
+    worst = max(abs(np.vdot(p, h @ q) - np.vdot(h @ p, q)) * g.cell_volume
+                for i, p in enumerate(probes) for q in probes[i:])
+    assert ham.hermiticity_defect(spec, 0.2, g) == pytest.approx(worst, rel=1e-12)
 
 
 def test_full_coupling_requires_commensurate_grid():

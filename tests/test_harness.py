@@ -303,6 +303,58 @@ def test_gauge_check_holds_one_trajectorys_marks():
     assert peak < 30 * 32 * 32 * 16
 
 
+PACKET_GAUGE_POINTS = 8192
+
+
+def packet_gauge_config():
+    # a packet start: no ground solve inside the check
+    dt = 2 * np.pi / 1280
+    return harness.StudyConfig(grid_points=(PACKET_GAUGE_POINTS,), grid_lengths=(80.0,),
+                               initial_state="packet", lambdas=(10.0,), panels=4,
+                               t_final=dt + 64 * dt, dt=dt)
+
+
+def test_gauge_check_holds_a_fixed_handful_of_states():
+    # the length gauge advances to each velocity mark inside the velocity
+    # run's hook, so no mark is copied; with the 17 velocity marks stored the
+    # peak was 23.6 states
+    cfg = packet_gauge_config()
+    harness.run_gauge_check(cfg)   # fills the module caches
+    tracemalloc.start()
+    try:
+        report = harness.run_gauge_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report["fidelity_forward"]) == len(report["fidelity_reverse"]) == 17
+    assert report["min_fidelity"] >= 1 - 1e-12
+    assert peak < 16 * PACKET_GAUGE_POINTS * 16
+
+
+def test_study_process_does_not_import_numpy_random(tmp_path):
+    # only the bounds probe draws from numpy.random; the study's hermiticity
+    # guard draws its probes from the stdlib generator
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dipolelab import harness\n"
+        "cfg = harness.StudyConfig(\n"
+        "    preset='custom', grid_dim=1, grid_points=(256,), grid_lengths=(80.0,),\n"
+        "    potential_kind='soft_core', envelope_kind='cw', amplitude=0.25,\n"
+        "    omega=1.0, lambdas=(20.0, 40.0), t0=None,\n"
+        "    t_final=np.pi / 512 + np.pi / 8, dt=np.pi / 512, panels=4,\n"
+        "    initial_state='ground', ground_tol=1e-7, seed=11)\n"
+        "harness.run_study(cfg, sys.argv[1])\n"
+        "print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(dipolelab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
+    assert (tmp_path / "custom").is_dir()
+
+
 def test_run_study_artifacts(tmp_path):
     cfg = trimmed_config()
     target = harness.run_study(cfg, tmp_path)

@@ -156,6 +156,16 @@ def test_krylov_guard_trips_on_non_hermitian_fixture():
         one_step(spec, psi, 0.0, 1e-2, "krylov")
 
 
+def test_krylov_guard_rejects_a_non_finite_generator():
+    # a NaN amplitude, built directly past the factories, makes H and its
+    # hermiticity defect NaN, which `defect > KRYLOV_GUARD` alone lets through
+    g = spatial.make_grid(1, 64, 20.0)
+    env = fields.LaserEnvelope("cw", np.nan, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    spec = ham.full_coupling(fields.ScaledField(env, 10.0, 1.0), ham.zero_potential())
+    with pytest.raises(NumericalError, match="hermiticity"):
+        prop._check_hermiticity_guard(spec, 0.1, g)
+
+
 def test_krylov_evolve_releases_its_spec():
     g = spatial.make_grid(1, 64, 20.0)
     env = fields.transverse_envelope("cw", 0.5, 1)
