@@ -1,8 +1,8 @@
 """Discrete analogues of the operator estimates behind well-posedness.
 
-Three measurements on the coupling W = H - (-Lap), a matrix-free operator
-built from ``hamiltonians.coupling_terms`` as H is, all over reproducible
-seeded probe ensembles:
+Three measurements on the coupling W = H - (-Lap), built from
+``hamiltonians.coupling_terms`` and applied by the ``SpectralOperator`` that
+applies H, all over reproducible seeded probe ensembles:
 
   * contraction_scan: q(alpha) = ||W R_alpha||, R_alpha = (-Lap + alpha)^-1;
     invertibility of 1 + W R_alpha needs q < 1.  q(alpha)^2 is the top
@@ -14,7 +14,7 @@ seeded probe ensembles:
     residual is at most RITZ_RTOL = 1e-8 times its Ritz value.  Shifts run
     in increasing order, each warm-started from the previous top
     eigenvector plus the seeded random start.  When W is real (a real
-    diagonal, no shift array and no gradient terms, as on every preset) the
+    diagonal, a constant shift and no gradient terms, as on every preset) the
     normal operator is real symmetric and the scan runs on a real start, a
     real Lanczos basis and real transforms.
   * infinitesimal_bound_scan: smallest C with ||W psi||^2 <= eps ||Lap psi||^2
@@ -45,7 +45,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .hamiltonians import HamiltonianSpec, coupling_terms, hamiltonian_apply_fn
+from .hamiltonians import (HamiltonianSpec, SpectralOperator, coupling_terms,
+                           hamiltonian_apply_fn)
 from .hamiltonians import potential_on_grid  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .propagate import _top_eigenpair
 from .spatial import Grid, WaveFunction, fourier_pair, real_fourier_pair
@@ -66,26 +67,12 @@ SUITE_PROBES = 64
 PROBE_BLOCK_POINTS = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingOperator:
-    """W = F^-1 shift F + diagonal + sum_a g_a F^-1 ik_a F; a 0.0 shift needs no transform.
-
-    apply and adjoint_apply act on the trailing grid axes, so a stack of
-    states with the probe axis leading goes through in one call.
-    """
-
-    grid: Grid
-    shift: object
-    diagonal: object
-    grads: list
+class CouplingOperator(SpectralOperator):
+    """The coupling W as a ``hamiltonians.SpectralOperator``; its symbol is W's shift."""
 
     @classmethod
     def from_spec(cls, spec: HamiltonianSpec, t: float, grid: Grid) -> "CouplingOperator":
-        shift, diagonal, grads = coupling_terms(spec, t, grid)
-        if np.ndim(shift) == 0:
-            # a constant shift is a multiplication: W applies without a transform
-            return cls(grid, 0.0, diagonal + shift, grads)
-        return cls(grid, shift, diagonal, grads)
+        return cls(grid, *coupling_terms(spec, t, grid))
 
     @classmethod
     def explicit(cls, grid: Grid, b_axes: dict | None = None,
@@ -93,39 +80,6 @@ class CouplingOperator:
         """W = 2i b.grad + b^2 with b given per on-grid axis."""
         grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in (b_axes or {}).items()]
         return cls(grid, 0.0, b_sq + np.zeros(grid.shape), grads)
-
-    @property
-    def is_real(self) -> bool:
-        """W maps real states to real states: a real diagonal and nothing else."""
-        return not np.ndim(self.shift) and not self.grads and np.isrealobj(self.diagonal)
-
-    def _diagonal_apply(self, values: np.ndarray) -> np.ndarray:
-        # a real W keeps a real input real; any other W gives a complex output
-        return np.multiply(self.diagonal, values, dtype=None if self.is_real else complex)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = self._diagonal_apply(values)
-        if np.ndim(self.shift) or self.grads:
-            forward, inverse = fourier_pair(self.grid)
-            vhat = forward(values)
-            if np.ndim(self.shift):
-                out += inverse(self.shift * vhat)
-            for g, ik in self.grads:
-                grad = vhat * ik
-                out += g * inverse(grad, out=grad)
-        return out
-
-    def adjoint_apply(self, values: np.ndarray) -> np.ndarray:
-        # the real shift and diagonal are self-adjoint, and
-        # (g F^-1 ik F)^dagger = F^-1 conj(ik) F conj(g)
-        out = self._diagonal_apply(values)
-        forward, inverse = fourier_pair(self.grid)
-        if np.ndim(self.shift):
-            out += inverse(self.shift * forward(values))
-        for g, ik in self.grads:
-            grad = np.conj(ik) * forward(np.conj(g) * values)
-            out += inverse(grad, out=grad)
-        return out
 
 
 def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
@@ -142,7 +96,7 @@ def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
     if values.dtype.kind == "f":
         forward, inverse = real_fourier_pair(grid)
         vhat = forward(values)
-        vhat /= (grid.k_square[..., :grid.shape[-1] // 2 + 1] + alpha) ** power
+        vhat /= (grid.half_k_square + alpha) ** power
         return inverse(vhat)
     forward, inverse = fourier_pair(grid)
     vhat = forward(values)

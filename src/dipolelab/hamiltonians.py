@@ -18,15 +18,16 @@ gradient transform per coupled axis.  Vector components of b beyond the grid
 dimension (transverse geometries) cannot act through the gradient; they
 contribute through |b|^2 only, which is exactly the reduction of the
 transverse-momentum zero sector.  ``generator_terms`` adds k^2 to the shift
-for H, which ``hamiltonian_apply_fn`` applies and the split stepper of
-``propagate`` exponentiates; ``bounds.CouplingOperator`` applies W.
+for H, whose terms the split stepper of ``propagate`` exponentiates.  One
+``SpectralOperator`` applies both: ``hamiltonian_apply_fn`` returns the apply
+of H's, and ``bounds.CouplingOperator`` is W's.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -228,45 +229,83 @@ def generator_terms(spec: HamiltonianSpec, t: float, grid: Grid):
     return sym, diag, grads
 
 
-def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float,
-                         grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    """Closure applying H(t) to raw value arrays; the ``generator_terms`` at t.
+@dataclass(frozen=True, eq=False)
+class SpectralOperator:
+    """A = F^-1 symbol F + diagonal + sum_a g_a F^-1 ik_a F on the trailing grid axes.
 
-    When H is -Lap plus a real diagonal (the symbol is the cached
-    ``grid.k_square`` and there are no gradient terms: the field-free and
-    length generators and the full generator with off-grid polarization), H
-    keeps real states real, and a real input is applied with real transforms
-    on the half spectrum and gives a real output.  The terms decide this when
-    the closure is built; every other input takes the complex transforms.
+    H and its coupling W take this form.  The symbol and diagonal are real;
+    a scalar symbol joins the diagonal when the operator is built, leaving
+    the symbol 0.0 (no transform).  The build also decides is_real: a real
+    diagonal, a 0.0 or the cached ``grid.k_square`` symbol and no gradient
+    terms.  Such an operator maps a real input to a real output, with real
+    transforms on ``grid.half_k_square`` if the symbol is k^2.  Other inputs
+    take the complex transforms; the spectrum is multiplied and transformed
+    in place unless a gradient term reads it again, and the real diagonal is
+    added to each part, so one apply holds about two states besides its input.
     """
-    sym, diag, grads = generator_terms(spec, t, grid)
-    forward, inverse = fourier_pair(grid)
-    keeps_real = sym is grid.k_square and not grads
-    if keeps_real:
-        rforward, rinverse = real_fourier_pair(grid)
-        half_sym = sym[..., :grid.shape[-1] // 2 + 1]
 
-    def apply(values: np.ndarray) -> np.ndarray:
-        if keeps_real and values.dtype.kind == "f":
+    grid: Grid
+    symbol: object
+    diagonal: object
+    grads: list
+    is_real: bool = field(init=False)
+
+    def __post_init__(self):
+        if np.ndim(self.symbol) == 0:
+            object.__setattr__(self, "diagonal", self.diagonal + self.symbol)
+            object.__setattr__(self, "symbol", 0.0)
+        spectral = isinstance(self.symbol, np.ndarray)
+        is_real = (not self.grads and np.isrealobj(self.diagonal)
+                   and (self.symbol is self.grid.k_square or not spectral))
+        object.__setattr__(self, "is_real", is_real)
+        object.__setattr__(self, "_pair", fourier_pair(self.grid))
+        object.__setattr__(self, "_real_pair",
+                           real_fourier_pair(self.grid) if is_real and spectral else None)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self._apply(values, adjoint=False)
+
+    def adjoint_apply(self, values: np.ndarray) -> np.ndarray:
+        return self._apply(values, adjoint=True)
+
+    def _apply(self, values: np.ndarray, adjoint: bool) -> np.ndarray:
+        diag, grads = self.diagonal, self.grads
+        if self._real_pair is not None and values.dtype.kind == "f":
+            rforward, rinverse = self._real_pair
             vhat = rforward(values)
-            vhat *= half_sym
+            vhat *= self.grid.half_k_square
             out = rinverse(vhat)
             out += diag * values
             return out
-        vhat = forward(values)
-        # the gradient terms read vhat again, so only a gradient-free H
-        # multiplies and transforms it in place
-        out = np.multiply(vhat, sym, out=None if grads else vhat)
-        inverse(out, out=out)
-        # the real diagonal acts on each part: two half-state temporaries, the
-        # same bits as `out += diag * values` without its complex temporary
-        out.real += diag * values.real
-        out.imag += diag * values.imag
+        forward, inverse = self._pair
+        spectral = isinstance(self.symbol, np.ndarray)
+        # the gradient terms of A (not those of its adjoint) read the spectrum again
+        reread = bool(grads) and not adjoint
+        vhat = forward(values) if spectral or reread else None
+        if spectral:
+            out = np.multiply(vhat, self.symbol, out=None if reread else vhat)
+            inverse(out, out=out)
+            # the real diagonal acts on each part: two half-state temporaries, the
+            # same bits as `out += diag * values` without its complex temporary
+            out.real += diag * values.real
+            out.imag += diag * values.imag
+        else:
+            out = np.multiply(diag, values, dtype=None if self.is_real else complex)
+        # the real symbol and diagonal are self-adjoint, and
+        # (g F^-1 ik F)^dagger = F^-1 conj(ik) F conj(g)
         for g, ik in grads:
-            out += g * inverse(vhat * ik)
+            if adjoint:
+                grad = np.conj(ik) * forward(np.conj(g) * values)
+                out += inverse(grad, out=grad)
+            else:
+                grad = vhat * ik
+                out += g * inverse(grad, out=grad)
         return out
 
-    return apply
+
+def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float, grid: Grid) -> Callable:
+    """The apply of H(t), the operator of its ``generator_terms``, on raw value arrays."""
+    return SpectralOperator(grid, *generator_terms(spec, t, grid)).apply
 
 
 def hermiticity_defect(spec: HamiltonianSpec, t: float, grid: Grid) -> float:

@@ -7,7 +7,7 @@ The split stepper is one Strang step for any generator without gradient
 terms, a symbol diagonal in momentum space plus a diagonal in position space:
 the dipole kinds in any geometry and the full kind with off-grid
 polarization.  The Krylov stepper exponentiates any Hermitian generator
-through ``hamiltonian_apply_fn``, the in-plane full coupling included.
+through its ``SpectralOperator``, the in-plane full coupling included.
 ``evolve`` returns the final state and hands marked states only to ``on_sample``.
 One Lanczos recurrence serves the Krylov step and the one restarted-Lanczos
 extremal eigensolver, which finds the ground state (the top eigenpair of -H)

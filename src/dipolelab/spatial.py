@@ -88,6 +88,11 @@ class Grid:
             out = out + self.k_mesh(axis) ** 2
         return out
 
+    @cached_property
+    def half_k_square(self) -> np.ndarray:
+        """k_square on the half spectrum of ``real_fourier_pair``: a view."""
+        return self.k_square[..., :self.shape[-1] // 2 + 1]
+
 
 def make_grid(dim: int, points, lengths, particles: int = 1) -> Grid:
     """Validated grid constructor: powers of two, >= 8 points per axis."""

@@ -187,11 +187,11 @@ def adjoint_identity_operators():
     # an array shift: the in-plane dipole velocity coupling
     w = bounds.CouplingOperator.from_spec(ham.dipole_velocity(spec.field, spec.potential),
                                           0.3, g2)
-    assert np.ndim(w.shift) == 2 and not w.grads
+    assert np.ndim(w.symbol) == 2 and not w.grads
     yield w
     # gradient terms: the in-plane full coupling
     w = bounds.CouplingOperator.from_spec(spec, 0.3, g2)
-    assert np.ndim(w.shift) == 0 and w.grads
+    assert np.ndim(w.symbol) == 0 and w.grads
     yield w
 
 
@@ -206,6 +206,19 @@ def test_adjoint_identity():
         lhs = np.vdot(phi, w.apply(psi))
         rhs = np.vdot(w.adjoint_apply(phi), psi)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def test_a_constant_symbol_joins_the_diagonal():
+    # a scalar symbol is the multiplication by it; it once was dropped
+    g = spatial.make_grid(1, 128, 16.0)
+    v = -0.7 * np.exp(-g.mesh(0) ** 2 / 8.0)
+    w = bounds.CouplingOperator(g, 0.5, v, [])
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    assert w.is_real
+    for method in (w.apply, w.adjoint_apply):
+        np.testing.assert_array_equal(method(psi), (v + 0.5) * psi)
+        np.testing.assert_array_equal(method(psi.real), (v + 0.5) * psi.real)
 
 
 def test_infinitesimal_bound_bounded_multiplication():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dipolelab import fields, hamiltonians as ham, harness, propagate, spatial
+from dipolelab import bounds, fields, hamiltonians as ham, harness, propagate, spatial
 from dipolelab.errors import ConfigError
 
 
@@ -13,7 +13,7 @@ def zero_field():
 
 
 def apply(spec, t, psi):
-    """H(t) psi through the closure every product path uses."""
+    """H(t) psi through the apply every product path uses."""
     return ham.hamiltonian_apply_fn(spec, t, psi.grid)(psi.values)
 
 
@@ -308,9 +308,16 @@ def test_real_input_keeps_the_complex_path_when_h_does_not_keep_states_real(kind
                                   fn(values.astype(complex)).view(np.uint64))
 
 
-def test_warm_apply_peaks_below_three_states():
+@pytest.mark.parametrize("operator", ["h-field-free", "w-dipole-velocity-in-plane"])
+def test_warm_apply_peaks_below_three_states(operator):
+    # H and W share one apply; the in-plane velocity W has an array symbol
     g = spatial.make_grid(2, 64, 30.0)
-    fn = ham.hamiltonian_apply_fn(_field_free_length(ham.soft_core_coulomb()), 0.0, g)
+    if operator == "h-field-free":
+        fn = ham.hamiltonian_apply_fn(_field_free_length(ham.soft_core_coulomb()), 0.0, g)
+    else:
+        fld = fields.ScaledField(fields.in_plane_envelope("cw", 0.5), 8.0, 1.0)
+        spec = ham.dipole_velocity(fld, ham.soft_core_coulomb())
+        fn = bounds.CouplingOperator.from_spec(spec, 0.3, g).apply
     rng = np.random.default_rng(14)
     values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     fn(values)

@@ -4,7 +4,9 @@
 pieces of the coupling W = H + Lap, and ``generator_terms`` builds H from
 them; the steppers, the eigensolver and the bounds module read those pieces.
 A module that reads a spec's ``kind`` or names a kind constant is a second
-decomposition.  The sources are parsed with ``ast``, nothing is imported.
+decomposition.  Likewise one operator type in ``hamiltonians`` applies both
+H and W, and ``spatial`` alone cuts k^2 to the half spectrum of the real
+transforms.  The sources are parsed with ``ast``, nothing is imported.
 """
 
 import ast
@@ -36,15 +38,18 @@ def kind_reads(tree: ast.AST) -> list[int]:
     return sorted(set(lines))
 
 
-def test_only_hamiltonians_reads_a_generator_kind():
+def found_outside(owner: str, guard) -> dict:
+    """{module file: lines} that guard finds in every module but owner."""
     found = {}
     for path in sorted((ROOT / "src" / "dipolelab").glob("*.py")):
-        if path.name == "hamiltonians.py":
-            continue
-        lines = kind_reads(ast.parse(path.read_text()))
+        lines = [] if path.name == owner else guard(ast.parse(path.read_text()))
         if lines:
             found[path.name] = lines
-    assert found == {}
+    return found
+
+
+def test_only_hamiltonians_reads_a_generator_kind():
+    assert found_outside("hamiltonians.py", kind_reads) == {}
 
 
 def test_the_guard_sees_each_form_of_a_kind_read():
@@ -55,3 +60,57 @@ def test_the_guard_sees_each_form_of_a_kind_read():
               "y = self.spec.kind\n"
               "z = env.kind\n")
     assert kind_reads(ast.parse(source)) == [1, 2, 4, 5]
+
+
+APPLY_NAMES = {"apply", "adjoint_apply"}
+
+
+def is_half_spectrum_bound(node: ast.AST) -> bool:
+    """Whether node reads ``<expr> // 2 + 1``, the length of a half spectrum."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.FloorDiv)
+            and isinstance(node.left.right, ast.Constant) and node.left.right.value == 2)
+
+
+def half_spectrum_slices(tree: ast.AST) -> list[int]:
+    """Line numbers that subscript k_square or slice to a half spectrum."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Subscript):
+            continue
+        bounds = [part for sl in ast.walk(node.slice) if isinstance(sl, ast.Slice)
+                  for part in (sl.lower, sl.upper)]
+        if terminal_name(node.value) == "k_square" or any(map(is_half_spectrum_bound, bounds)):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def apply_definitions(tree: ast.AST) -> list[int]:
+    """Line numbers that define a function named apply or adjoint_apply."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name in APPLY_NAMES)
+
+
+def test_only_spatial_cuts_the_half_spectrum():
+    assert found_outside("spatial.py", half_spectrum_slices) == {}
+
+
+def test_only_hamiltonians_defines_an_operator_apply():
+    assert found_outside("hamiltonians.py", apply_definitions) == {}
+
+
+def test_the_guards_see_each_form_of_a_slice_and_an_apply():
+    source = ("a = grid.k_square[..., :3]\n"
+              "b = sym[..., :grid.shape[-1] // 2 + 1]\n"
+              "c = k_square[0]\n"
+              "d = x[: n // 2]\n"
+              "class Op:\n"
+              "    def apply(self, v):\n"
+              "        def adjoint_apply(u):\n"
+              "            return u\n"
+              "    def normal_apply(self, v):\n"
+              "        return v\n")
+    tree = ast.parse(source)
+    assert half_spectrum_slices(tree) == [1, 2, 3]
+    assert apply_definitions(tree) == [6, 7]
