@@ -2,7 +2,10 @@
 
 Three measurements on the coupling W = H - (-Lap), built from
 ``hamiltonians.coupling_terms`` and applied by the ``SpectralOperator`` that
-applies H, all over reproducible seeded probe ensembles:
+applies H, all over reproducible seeded probe ensembles.  Every draw comes
+from the stdlib random.Random(seed): normal deviates by the Box-Muller
+transform of its 32-bit integers, uniform packet parameters from its
+uniform(), so no bounds process loads numpy.random:
 
   * contraction_scan: q(alpha) = ||W R_alpha||, R_alpha = (-Lap + alpha)^-1;
     invertibility of 1 + W R_alpha needs q < 1.  q(alpha)^2 is the top
@@ -38,6 +41,7 @@ never extrapolated to the continuum.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -45,8 +49,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .hamiltonians import (HamiltonianSpec, SpectralOperator, coupling_terms,
-                           hamiltonian_apply_fn)
+from .hamiltonians import (HamiltonianSpec, SpectralOperator, _random_words,
+                           coupling_terms, hamiltonian_apply_fn)
 from .hamiltonians import potential_on_grid  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .propagate import _top_eigenpair
 from .spatial import Grid, WaveFunction, fourier_pair, real_fourier_pair
@@ -80,6 +84,19 @@ class CouplingOperator(SpectralOperator):
         """W = 2i b.grad + b^2 with b given per on-grid axis."""
         grads = [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in (b_axes or {}).items()]
         return cls(grid, 0.0, b_sq + np.zeros(grid.shape), grads)
+
+
+def _standard_normal(rng: random.Random, shape: tuple) -> np.ndarray:
+    """Standard normal deviates by the Box-Muller transform, in a C-order array.
+
+    Each deviate takes two 32-bit integers k as u = (k + 1/2) 2^-32, inside
+    (0, 1), so the logarithm never sees zero: a radius from the first half
+    of the integers and an angle from the second.
+    """
+    count = math.prod(shape)
+    u = (_random_words(rng, 2 * count) + 0.5) * 2.0 ** -32
+    radius = np.sqrt(-2.0 * np.log(u[:count]))
+    return (radius * np.cos(2.0 * np.pi * u[count:])).reshape(shape)
 
 
 def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
@@ -120,10 +137,10 @@ def contraction_scan(w_op: CouplingOperator, alphas: Sequence[float],
     if sorted(alphas) != alphas:
         raise ConfigError("alpha grid must be increasing")
     grid = w_op.grid
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal(grid.shape)
+    rng = random.Random(seed)
+    r = _standard_normal(rng, grid.shape)
     if not w_op.is_real:
-        r = r + 1j * rng.standard_normal(grid.shape)
+        r = r + 1j * _standard_normal(rng, grid.shape)
     r /= np.linalg.norm(r.ravel())
     q = np.empty(len(alphas))
     start = r
@@ -258,16 +275,15 @@ def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def _draw_probe(rng: np.random.Generator, grid: Grid, idx: int) -> WaveFunction:
+def _draw_probe(rng: random.Random, grid: Grid, idx: int) -> WaveFunction:
     """Probe idx of the ensemble: band-limited noise for odd idx, else a
     Gaussian with a random boost; unit-normalized."""
     if idx % 2 == 1:
         cutoff = max(2, min(grid.shape) // 4)
         coeff = np.zeros(grid.shape, dtype=complex)
         sel = tuple(slice(0, cutoff) for _ in range(grid.dim))
-        block = rng.standard_normal((cutoff,) * grid.dim) \
-            + 1j * rng.standard_normal((cutoff,) * grid.dim)
-        coeff[sel] = block
+        coeff[sel] = _standard_normal(rng, (cutoff,) * grid.dim)
+        coeff[sel] += 1j * _standard_normal(rng, (cutoff,) * grid.dim)
         vals = np.fft.ifftn(coeff)
     else:
         vals = np.ones(grid.shape, dtype=complex)
@@ -285,7 +301,7 @@ def _draw_probe(rng: np.random.Generator, grid: Grid, idx: int) -> WaveFunction:
 
 def iter_probe_ensemble(grid: Grid, count: int, seed: int) -> Iterator[WaveFunction]:
     """Reproducible probe states, drawn one at a time from one seeded generator."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for idx in range(count):
         yield _draw_probe(rng, grid, idx)
 

@@ -308,6 +308,11 @@ def hamiltonian_apply_fn(spec: HamiltonianSpec, t: float, grid: Grid) -> Callabl
     return SpectralOperator(grid, *generator_terms(spec, t, grid)).apply
 
 
+def _random_words(rng: random.Random, count: int) -> np.ndarray:
+    """count unsigned 32-bit integers from the stdlib generator's randbytes."""
+    return np.frombuffer(rng.randbytes(4 * count), dtype="<u4")
+
+
 def hermiticity_defect(spec: HamiltonianSpec, t: float, grid: Grid) -> float:
     """max over i <= j of |M_ij - conj(M_ji)|, M_ij = <p_i, H p_j>, on fixed probes p_i.
 
@@ -321,7 +326,7 @@ def hermiticity_defect(spec: HamiltonianSpec, t: float, grid: Grid) -> float:
     probes = np.empty((HERMITICITY_PROBES, n), dtype=complex)
     # each row's real and imaginary parts, interleaved, from 32-bit integers
     for probe, parts in zip(probes, probes.view(np.float64)):
-        parts[:] = np.frombuffer(rng.randbytes(8 * n), dtype="<i4")
+        parts[:] = _random_words(rng, 2 * n).view("<i4")
         probe /= np.linalg.norm(probe) * math.sqrt(grid.cell_volume)
     apply = hamiltonian_apply_fn(spec, t, grid)
     m = np.empty((HERMITICITY_PROBES, HERMITICITY_PROBES), dtype=complex)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import hashlib
 import json
 import math
 import time
@@ -41,6 +40,16 @@ from .hamiltonians import (PotentialModel, dipole_length, dipole_velocity,
 from .propagate import (KRYLOV, SPLIT, TIME_MATCH_TOL, StepperConfig, evolve,
                         ground_state_imaginary_time)
 from .spatial import Grid, WaveFunction, gaussian_packet, make_grid, write_snapshot
+
+# hashlib maps OpenSSL (3.6 MB of resident memory) for one digest; the
+# builtin module gives the same sha256, as CPython's random.py does for sha512
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 PRESETS = ("cw-1d", "pulse-1d", "two-body-1d")
 
@@ -263,7 +272,7 @@ class StudyConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        return sha256(self.canonical_text().encode()).hexdigest()[:16]
 
     def write_ini(self, path) -> None:
         Path(path).write_text(self.canonical_text())

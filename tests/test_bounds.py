@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -341,7 +342,7 @@ def test_bounds_suite_holds_one_probe_block_not_the_ensemble(monkeypatch):
     assert bounds.PROBE_BLOCK_POINTS // g.npoints <= 1
     fixed = (np.array(bounds.SUITE_ALPHAS), np.ones(len(bounds.SUITE_ALPHAS)), None)
     monkeypatch.setattr(bounds, "contraction_scan", lambda *args, **kwargs: fixed)
-    # a first run loads numpy.random's lazy submodules and the grid's caches
+    # a first run fills the grid's caches and the FFT plan cache
     bounds.run_bounds_suite(spec, 0.1, g, seed=4)
     tracemalloc.start()
     try:
@@ -549,6 +550,39 @@ def test_presets_scan_on_real_start_vectors(monkeypatch, preset):
     assert starts == [np.dtype(np.float64)] * len(bounds.SUITE_ALPHAS)
 
 
+def test_standard_normal_is_reproducible_per_seed():
+    a = bounds._standard_normal(random.Random(17), (3, 50))
+    b = bounds._standard_normal(random.Random(17), (3, 50))
+    assert a.shape == (3, 50) and a.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != bounds._standard_normal(random.Random(18), (3, 50)).tobytes()
+
+
+def test_standard_normal_has_unit_normal_moments():
+    x = bounds._standard_normal(random.Random(2024), (200_000,))
+    assert np.all(np.isfinite(x))
+    assert abs(x.mean()) < 0.02
+    assert abs(x.var() - 1.0) < 0.02
+
+
+def test_real_scan_starts_from_the_real_part_of_the_complex_draw(monkeypatch):
+    starts = []
+
+    def spy(apply_fn, v0, *args, **kwargs):
+        starts.append(v0)
+        return propagate._top_eigenpair(apply_fn, v0, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_top_eigenpair", spy)
+    w, _ = preset_w_operator()
+    w_complex = replace(w, diagonal=w.diagonal.astype(complex))
+    bounds.contraction_scan(w, [1.0], seed=31)
+    bounds.contraction_scan(w_complex, [1.0], seed=31)
+    real, cplx = starts
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    np.testing.assert_allclose(real, cplx.real / np.linalg.norm(cplx.real),
+                               rtol=1e-13, atol=0.0)
+
+
 def test_real_contraction_scan_holds_a_real_basis():
     # a 24-vector complex basis of a 64x64 grid is 24 complex states alone;
     # the real basis is the size of 12
@@ -558,7 +592,7 @@ def test_real_contraction_scan_holds_a_real_basis():
     g = spatial.make_grid(2, 64, 40.0)
     w = bounds.CouplingOperator.from_spec(spec, 0.1, g)
     state_bytes = g.npoints * 16
-    # a first run loads numpy.random's lazy submodules and the grid's caches
+    # a first run fills the grid's caches and the FFT plan cache
     bounds.contraction_scan(w, [1.0], seed=4)
     tracemalloc.start()
     try:

@@ -130,15 +130,17 @@ def test_pulse_table_built_once(monkeypatch):
     assert fields.profile_value(fields.PULSE, 0.3) == first
 
 
-def test_cli_import_graph_leaves_out_heavy_scipy():
+def test_cli_import_graph_leaves_out_heavy_scipy(tmp_path):
     # numpy is the only runtime dependency: no scipy module loads in a CLI
     # process that evaluates the pulse profile, takes a Krylov step on the full
-    # generator and runs the bounds probe (scipy stays a test oracle); nor do
-    # concurrent.futures and the logging it pulls in, which only a threaded
-    # sweep needs, nor numpy.polynomial, whose Gauss-Legendre rule the pulse
-    # table writes out as literals
+    # generator, runs a study, the bounds probe and the field check (scipy
+    # stays a test oracle); nor do concurrent.futures and the logging it pulls
+    # in, which only a threaded sweep needs, nor numpy.polynomial, whose
+    # Gauss-Legendre rule the pulse table writes out as literals; nor OpenSSL
+    # (the config hash takes the builtin sha256) or numpy.random and the
+    # secrets module it imports (every draw comes from the stdlib generator)
     code = (
-        "import json, sys\n"
+        "import dataclasses, json, sys\n"
         "import numpy as np\n"
         "import dipolelab.cli\n"
         "from dipolelab import fields, hamiltonians, harness, propagate\n"
@@ -156,17 +158,22 @@ def test_cli_import_graph_leaves_out_heavy_scipy():
         "propagate.evolve(spec, psi0, propagate.StepperConfig(\n"
         "    dt=cfg.dt, t0=cfg.start_time, t_final=cfg.start_time + cfg.dt,\n"
         "    method='krylov'))\n"
+        "harness.run_study(dataclasses.replace(cfg, t_final=np.pi / 512 + np.pi / 8,\n"
+        "                                      panels=4), sys.argv[1])\n"
         "harness.run_bounds_check(cfg)\n"
+        "harness.run_field_check(cfg)\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')),\n"
-        "                  [m for m in ('concurrent.futures', 'logging', 'numpy.polynomial')\n"
+        "                  [m for m in ('concurrent.futures', 'logging', 'numpy.polynomial',\n"
+        "                               '_hashlib', 'hashlib', 'secrets', 'numpy.random')\n"
         "                   if m in sys.modules]]))\n")
     src = str(Path(dipolelab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == [[], []]
+    assert (tmp_path / "custom").is_dir()
 
 
 def test_gauss_rule_literals_equal_leggauss():

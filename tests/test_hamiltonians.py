@@ -157,6 +157,28 @@ def test_hermiticity_defect_is_the_largest_pairwise_asymmetry():
     assert ham.hermiticity_defect(spec, 0.2, g) == pytest.approx(worst, rel=1e-12)
 
 
+def test_hermiticity_probes_keep_their_bits(monkeypatch):
+    # the probes come from the 32-bit integer helper the bounds draws share,
+    # bit for bit the signed integers of randbytes they were first built from
+    g = spatial.make_grid(1, 64, 40.0)
+    seen = []
+
+    def spy_apply_fn(spec, t, grid):
+        def apply(values):
+            seen.append(values.copy())
+            return np.zeros_like(values)
+        return apply
+
+    monkeypatch.setattr(ham, "hamiltonian_apply_fn", spy_apply_fn)
+    ham.hermiticity_defect(None, 0.0, g)
+    rng = random.Random(ham.HERMITICITY_SEED)
+    assert len(seen) == ham.HERMITICITY_PROBES
+    for got in seen:
+        vals = np.frombuffer(rng.randbytes(8 * g.npoints), dtype="<i4").astype(float).view(complex)
+        want = vals / (np.linalg.norm(vals) * np.sqrt(g.cell_volume))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_full_coupling_requires_commensurate_grid():
     g = spatial.make_grid(1, 256, 40.0)
     env = fields.transverse_envelope("cw", 0.5, 1)

@@ -152,6 +152,16 @@ def test_canonical_text_matches_the_configparser_construction(tmp_path):
     assert harness.preset_config("two-body-1d").config_hash() == "3d79045a7490c082"
 
 
+def test_config_hash_is_the_hashlib_sha256_prefix():
+    # the builtin sha256 the harness imports gives hashlib's digest
+    import hashlib
+    configs = [harness.preset_config(name) for name in harness.PRESETS]
+    configs.append(trimmed_config(seed=3, lambdas=(10.0, 30.0)))
+    for cfg in configs:
+        want = hashlib.sha256(cfg.canonical_text().encode()).hexdigest()[:16]
+        assert cfg.config_hash() == want
+
+
 def test_ini_table_lists_every_field_once():
     # threads is a CLI flag, not part of a study's identity
     table = [field for _, _, field, _, _ in harness._INI_KEYS]
@@ -332,8 +342,9 @@ def test_gauge_check_holds_a_fixed_handful_of_states():
 
 
 def test_study_process_does_not_import_numpy_random(tmp_path):
-    # only the bounds probe draws from numpy.random; the study's hermiticity
-    # guard draws its probes from the stdlib generator
+    # no process draws from numpy.random: the study's hermiticity guard and
+    # the bounds probes draw from the stdlib generator; nor does any map
+    # OpenSSL, since the config hash takes the builtin sha256
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -345,13 +356,13 @@ def test_study_process_does_not_import_numpy_random(tmp_path):
         "    t_final=np.pi / 512 + np.pi / 8, dt=np.pi / 512, panels=4,\n"
         "    initial_state='ground', ground_tol=1e-7, seed=11)\n"
         "harness.run_study(cfg, sys.argv[1])\n"
-        "print('numpy.random' in sys.modules)\n")
+        "print('numpy.random' in sys.modules, '_hashlib' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(dipolelab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False"]
+    assert out.split() == ["False", "False"]
     assert (tmp_path / "custom").is_dir()
 
 
