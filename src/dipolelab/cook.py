@@ -11,7 +11,9 @@ where b(r, s) = (1/w) a(r/lam, w s) is the coupling that
 ``fields.coupling_arrays`` samples and psi_s is the dipole-evolved state.
 Only the dipole trajectory is needed to produce B, which is what makes the
 certificate usable a-posteriori; the dipole run evaluates g for every
-wavelength as it passes each node, so no node state is kept.
+wavelength as it passes each node, so no node state is kept.  Its hook
+receives every (nsteps / (4 panels))-th step index and takes the node time
+t0 + h j from the Simpson nodes, not t0 + k dt, which differs in the last bits.
 B is composite Simpson over the fine nodes; the same samples at every other
 node give a coarse B, and a fine/coarse gap above QUAD_SELF_TOL (relative)
 flags the quadrature.  The measured error e that B is compared against comes
@@ -28,7 +30,7 @@ from .errors import ConfigError
 from .fields import ScaledField, coupling_arrays
 from .fields import profile_value  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .hamiltonians import HamiltonianSpec
-from .propagate import SPLIT, StepperConfig, evolve
+from .propagate import StepperConfig, evolve
 from .spatial import WaveFunction, spectral_axis_derivative
 
 QUAD_SELF_TOL = 0.01
@@ -110,26 +112,24 @@ def _bound_from_samples(nodes: np.ndarray, g_values: np.ndarray, panels: int):
 
 
 def dipole_node_trajectory(spec_inf: HamiltonianSpec, fields: list[ScaledField],
-                           psi0: WaveFunction, t0: float, t: float, panels: int,
-                           dt: float):
-    """Dipole evolution through the fine Simpson nodes (2*panels panels).
+                           psi0: WaveFunction, clock: StepperConfig, panels: int):
+    """Dipole evolution on clock through the fine Simpson nodes (2*panels panels).
 
     g(s) is evaluated for each of the fields as the run passes each node, so
-    no node state is kept.  Returns (nodes, g_table, psi_final),
-    with g_table[i, j] = g(nodes[j]) for fields[i] and psi_final the dipole
-    state at t.
+    no node state is kept; the 4*panels node intervals must divide the
+    clock's steps.  Returns (nodes, g_table, psi_final), with
+    g_table[i, j] = g(nodes[j]) for fields[i] and psi_final the dipole state
+    at clock.t_final.
     """
-    nodes, _ = simpson_weights(2 * panels, t0, t)
-    spacing = nodes[1] - nodes[0]
-    substeps = int(round(spacing / dt))
-    if substeps < 1 or abs(substeps * dt - spacing) > 1e-9 * max(1.0, spacing):
-        raise ConfigError("dt must divide the Simpson node spacing")
+    nodes, _ = simpson_weights(2 * panels, clock.t0, clock.t_final)
+    every, rest = divmod(clock.nsteps, 4 * panels)
+    if rest:
+        raise ConfigError(f"4 * panels = {4 * panels} must divide the {clock.nsteps} steps")
     g_table = np.empty((len(fields), nodes.size))
-    columns = iter(g_table.T)
 
-    def on_node(s: float, psi: WaveFunction) -> None:
-        next(columns)[:] = [cook_integrand(fld, s, psi) for fld in fields]
+    def on_node(k: int, psi: WaveFunction) -> None:
+        j = k // every
+        g_table[:, j] = [cook_integrand(fld, nodes[j], psi) for fld in fields]
 
-    config = StepperConfig(dt=dt, t0=t0, t_final=t, method=SPLIT,
-                           sample_times=tuple(nodes))
-    return nodes, g_table, evolve(spec_inf, psi0, config, on_sample=on_node).terminal_state
+    final = evolve(spec_inf, psi0, clock, on_sample=on_node, every=every).terminal_state
+    return nodes, g_table, final

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .gauge import length_to_velocity, phase_fidelity, velocity_to_length
 from .hamiltonians import (PotentialModel, dipole_length, dipole_velocity,
                            full_coupling, gaussian_well, n_body_soft_core,
                            soft_core_coulomb, zero_potential)
-from .propagate import (KRYLOV, SPLIT, TIME_MATCH_TOL, StepperConfig, evolve,
+from .propagate import (KRYLOV, SPLIT, StepperConfig, evolve,
                         ground_state_imaginary_time)
 from .spatial import Grid, WaveFunction, gaussian_packet, make_grid, write_snapshot
 
@@ -178,8 +178,8 @@ class StudyConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
-        # evolve rounds (final_time - start_time) / dt to an integer step count;
-        # NaN and inf fail the comparison too
+        # StepperConfig.nsteps rounds (final_time - start_time) / dt to an
+        # integer step count; NaN and inf fail the comparison too
         if not (self.final_time - self.start_time) / self.dt <= MAX_STEPS:
             raise ConfigError(f"(t_final - t0) / dt must be a step count of at most "
                               f"MAX_STEPS = {MAX_STEPS}")
@@ -234,8 +234,8 @@ class StudyConfig:
             return psi0, None
         raise ConfigError(f"unknown initial state recipe {self.initial_state!r}")
 
-    def validate(self) -> tuple[Grid, LaserEnvelope, PotentialModel]:
-        """Check the config; returns the grid, envelope and potential it checked."""
+    def validate(self) -> tuple[Grid, LaserEnvelope, PotentialModel, StepperConfig]:
+        """Check the config; returns the grid, envelope, potential and clock it checked."""
         grid = self.build_grid()
         env = self.build_envelope()
         potential = self.build_potential()
@@ -243,12 +243,12 @@ class StudyConfig:
             raise ConfigError("t0 must be positive")
         if self.final_time <= self.start_time:
             raise ConfigError("t_final must exceed t0")
+        clock = StepperConfig(dt=self.dt, t0=self.start_time, t_final=self.final_time,
+                              krylov_m=self.krylov_m, krylov_tol=self.krylov_tol)
         # the Simpson nodes (4 * panels intervals) and the gauge check's marks
-        # must land on steps
-        steps = round((self.final_time - self.start_time) / self.dt)
+        # must land on distinct steps
         lattice = math.lcm(4 * self.panels, GAUGE_MARKS)
-        if (abs(self.start_time + steps * self.dt - self.final_time)
-                > TIME_MATCH_TOL * max(1.0, abs(self.final_time)) or steps % lattice):
+        if not clock.nsteps or clock.nsteps % lattice:
             raise ConfigError(
                 f"(t_final - t0) / dt must be a whole number of steps divisible by "
                 f"{lattice}, the lcm of 4 * panels and {GAUGE_MARKS} gauge marks")
@@ -256,7 +256,7 @@ class StudyConfig:
             if not is_commensurate(env, grid, lam):
                 raise ConfigError(
                     f"lambda {lam} is not commensurate with the box; snap to L/m")
-        return grid, env, potential
+        return grid, env, potential, clock
 
     # -- serialization ----------------------------------------------------
 
@@ -368,26 +368,22 @@ def _fit_decay_slope(records) -> float | None:
 
 def run_convergence_sweep(config: StudyConfig) -> SweepResult:
     """e(lam) and B(lam) for every wavelength against the shared dipole run."""
-    grid, env, potential = config.validate()
+    grid, env, potential, clock = config.validate()
     psi0, energy = config.build_initial_state(grid)
-    t0, t_final = config.start_time, config.final_time
 
     fields = [ScaledField(env, lam, config.omega) for lam in config.lambdas]
     spec_inf = dipole_velocity(fields[0], potential)
     tick = time.perf_counter()
     nodes, g_table, psi_inf_final = dipole_node_trajectory(
-        spec_inf, fields, psi0, t0, t_final, config.panels, config.dt)
+        spec_inf, fields, psi0, clock, config.panels)
     dipole_runtime = time.perf_counter() - tick
+    krylov = replace(clock, method=KRYLOV)
 
     def one_lambda(fld: ScaledField, g_values: np.ndarray) -> LambdaRecord:
         lam = fld.lam
         tick = time.perf_counter()
         try:
-            spec_full = full_coupling(fld, potential)
-            stepper = StepperConfig(
-                dt=config.dt, t0=t0, t_final=t_final, method=KRYLOV,
-                krylov_m=config.krylov_m, krylov_tol=config.krylov_tol)
-            traj = evolve(spec_full, psi0, stepper)
+            traj = evolve(full_coupling(fld, potential), psi0, krylov)
             diff = traj.terminal_state.values - psi_inf_final.values
             err = float(np.linalg.norm(diff.ravel())) * np.sqrt(grid.cell_volume)
             b_fine, b_coarse, flag = _bound_from_samples(nodes, g_values, config.panels)
@@ -433,20 +429,23 @@ def run_cook_comparison(config: StudyConfig) -> list[CookReport]:
 
 
 def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> dict:
-    """Velocity-gauge vs mapped length-gauge fidelity at the sample times.
+    """Velocity-gauge vs mapped length-gauge fidelity at GAUGE_MARKS + 1 times.
 
-    The velocity gauge is one run; at each of its marks its hook advances the
-    length gauge from the previous mark by one run over the mark interval and
-    compares the two states there, so the check holds two running states and
-    copies no mark.  Each length run takes its step midpoints from its own
-    start, which moves a time-dependent (on-grid polarized) length generator
-    in the last bits only.  omega_length deliberately detunes the length-gauge
-    field (negative-control fixture); the default uses the config's omega on
-    both sides.
+    The velocity gauge is one split run on the study's clock; its hook sees
+    every (nsteps / GAUGE_MARKS)-th step, names mark j by the time
+    t0 + span j / GAUGE_MARKS (not t0 + k dt), advances the length gauge from
+    the previous mark by one run over the mark interval and compares the two
+    states there, so the check holds two running states and copies no mark.
+    Each length run takes its step midpoints from its own start, which moves
+    a time-dependent (on-grid polarized) length generator in the last bits
+    only.  omega_length deliberately detunes the length-gauge field
+    (negative-control fixture); the default uses the config's omega on both
+    sides.
     """
-    grid, env, potential = config.validate()
+    grid, env, potential, clock = config.validate()
     psi0, _ = config.build_initial_state(grid)
-    t0, t_final = config.start_time, config.final_time
+    t0, span = clock.t0, clock.t_final - clock.t0
+    every = clock.nsteps // GAUGE_MARKS
     lam = config.lambdas[0]
 
     fld_v = ScaledField(env, lam, config.omega)
@@ -454,22 +453,21 @@ def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> d
     spec_v = dipole_velocity(fld_v, potential)
     spec_l = dipole_length(fld_l, potential)
 
-    span = t_final - t0
     sample = tuple(t0 + span * j / GAUGE_MARKS for j in range(GAUGE_MARKS + 1))
     fidelities, reverse = [], []
     psi_l = velocity_to_length(psi0, fld_l, t0)
     t_l = t0
 
-    def compare(t: float, sv: WaveFunction) -> None:
+    def compare(k: int, sv: WaveFunction) -> None:
         nonlocal psi_l, t_l
+        t = sample[k // every]
         if t > t_l:
             segment = StepperConfig(dt=config.dt, t0=t_l, t_final=t, method=SPLIT)
             psi_l, t_l = evolve(spec_l, psi_l, segment).terminal_state, t
         fidelities.append(phase_fidelity(velocity_to_length(sv, fld_l, t), psi_l))
         reverse.append(phase_fidelity(length_to_velocity(psi_l, fld_l, t), sv))
 
-    evolve(spec_v, psi0, StepperConfig(dt=config.dt, t0=t0, t_final=t_final, method=SPLIT,
-                                       sample_times=sample), on_sample=compare)
+    evolve(spec_v, psi0, clock, on_sample=compare, every=every)
     return {
         "lambda": lam,
         "omega_velocity": config.omega,
@@ -587,7 +585,7 @@ def run_field_check(config: StudyConfig) -> dict:
 
 def run_bounds_check(config: StudyConfig):
     """Bounds suite on the config's dipole generator at the start time."""
-    grid, env, potential = config.validate()
+    grid, env, potential, clock = config.validate()
     fld = ScaledField(env, config.lambdas[0], config.omega)
     spec = dipole_velocity(fld, potential)
-    return run_bounds_suite(spec, config.start_time, grid, config.seed)
+    return run_bounds_suite(spec, clock.t0, grid, config.seed)

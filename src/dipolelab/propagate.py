@@ -8,7 +8,9 @@ terms, a symbol diagonal in momentum space plus a diagonal in position space:
 the dipole kinds in any geometry and the full kind with off-grid
 polarization.  The Krylov stepper exponentiates any Hermitian generator
 through its ``SpectralOperator``, the in-plane full coupling included.
-``evolve`` returns the final state and hands marked states only to ``on_sample``.
+``StepperConfig.nsteps`` alone turns a time span into a step count.
+``evolve`` returns the final state and hands the state at every ``every``-th
+step boundary only to ``on_sample``, which receives the step index.
 One Lanczos recurrence serves the Krylov step and the one restarted-Lanczos
 extremal eigensolver, which finds the ground state (the top eigenpair of -H)
 and the contraction constants of the bounds module.  Its basis takes the
@@ -58,7 +60,6 @@ class StepperConfig:
     method: str = SPLIT
     krylov_m: int = 24
     krylov_tol: float = 1e-10
-    sample_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -69,6 +70,14 @@ class StepperConfig:
             raise ConfigError(f"unknown stepper method {self.method!r}")
         if not 8 <= self.krylov_m <= 64:
             raise ConfigError("krylov subspace dimension must lie in [8, 64]")
+
+    @property
+    def nsteps(self) -> int:
+        """The whole number of steps of size dt from t0 to t_final."""
+        nsteps = int(round((self.t_final - self.t0) / self.dt))
+        if abs(self.t0 + nsteps * self.dt - self.t_final) > TIME_MATCH_TOL * max(1.0, abs(self.t_final)):
+            raise ConfigError("dt must divide t_final - t0")
+        return nsteps
 
     @property
     def drift_bound(self) -> float:
@@ -246,12 +255,13 @@ def _krylov_step_values(spec: HamiltonianSpec, grid: Grid, values: np.ndarray,
 
 
 def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
-           on_sample: Callable[[float, WaveFunction], None] | None = None) -> Trajectory:
+           on_sample: Callable[[int, WaveFunction], None] | None = None,
+           every: int = 1) -> Trajectory:
     """Propagate psi0 from t0 to t_final with per-step norm bookkeeping.
 
-    The trajectory holds the state at t_final.  on_sample(t, psi) is called
-    once per config.sample_times entry, in step order, with the running
-    state; the sample times must land on step boundaries, and psi is valid
+    The trajectory holds the state at t_final.  on_sample(k, psi) is called
+    at the step boundaries k = 0, every, 2 every, ..., nsteps, in step order,
+    with the running state; every must divide config.nsteps.  psi is valid
     only during the call, so a hook that keeps it must copy it.  A hook may
     itself call evolve: the gauge check advances its length gauge from mark
     to mark inside the velocity run's hook.
@@ -260,17 +270,9 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
     n0 = norm(psi0)
     if abs(n0 - 1.0) > 1e-6:
         raise ConfigError(f"initial state is not normalized (norm {n0})")
-    span = config.t_final - config.t0
-    nsteps = int(round(span / config.dt))
-    if abs(config.t0 + nsteps * config.dt - config.t_final) > TIME_MATCH_TOL * max(1.0, abs(config.t_final)):
-        raise ConfigError("dt must divide t_final - t0")
-
-    sample_index: dict[int, float] = {}
-    for s in config.sample_times:
-        k = int(round((s - config.t0) / config.dt))
-        if k < 0 or k > nsteps or abs(config.t0 + k * config.dt - s) > TIME_MATCH_TOL * max(1.0, abs(s)):
-            raise ConfigError(f"sample time {s} does not land on a step boundary")
-        sample_index[k] = s
+    nsteps = config.nsteps
+    if every < 1 or nsteps % every:
+        raise ConfigError(f"the hook stride {every} does not divide the {nsteps} steps")
 
     if config.method == SPLIT:
         stepper = _split_stepper(spec, grid, config.dt)
@@ -282,12 +284,9 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
                                        t_mid - 0.5 * config.dt, config.dt,
                                        config.krylov_m, config.krylov_tol)
 
-    def record(k: int) -> None:
-        if on_sample is not None and k in sample_index:
-            on_sample(sample_index[k], WaveFunction(grid, values))
-
     values = psi0.values.copy()
-    record(0)
+    if on_sample is not None:
+        on_sample(0, WaveFunction(grid, values))
     max_drift = 0.0
     prev_norm = n0
     bound = config.drift_bound
@@ -304,7 +303,8 @@ def evolve(spec: HamiltonianSpec, psi0: WaveFunction, config: StepperConfig,
                 f"norm drift {drift:.2e} exceeded the bound {bound:.1e} at step {j}")
         max_drift = max(max_drift, drift)
         prev_norm = cur_norm
-        record(j + 1)
+        if on_sample is not None and (j + 1) % every == 0:
+            on_sample(j + 1, WaveFunction(grid, values))
     return Trajectory(WaveFunction(grid, values), max_drift, prev_norm, nsteps, config.method)
 
 

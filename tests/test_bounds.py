@@ -403,7 +403,9 @@ def reference_graph_interval(spec, t, alpha, probes):
 def test_batched_relative_bound_matches_per_probe_loop(case, count):
     spec, g = BATCH_CASES[case]()
     w = bounds.CouplingOperator.from_spec(spec, 0.3, g)
-    probes = bounds.probe_ensemble(g, count, seed=5)
+    # the constant plane wave has ||Lap psi|| = 0 < ||W psi||, so every C_eps > 0
+    probes = [*bounds.probe_ensemble(g, count - 1, seed=5),
+              *bounds.plane_wave_probes(g, [(0,) * g.dim])]
     eps = [0.0, 0.01, 0.05, 0.1, 0.5, 1.0]
     got = bounds.infinitesimal_bound_scan(w, eps, probes)
     want = reference_relative_bound(w, eps, probes)

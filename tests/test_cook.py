@@ -131,12 +131,11 @@ def test_streamed_g_table_matches_stored_node_states():
     flds = [fields.ScaledField(env, lam, 1.0) for lam in (20.0, 40.0)]
     spec = ham.dipole_velocity(flds[0], pot)
     t0, dt, panels = 0.1, 0.01, 4
-    t1 = t0 + 16 * dt
-    nodes, g_table, final = cook.dipole_node_trajectory(spec, flds, psi0, t0, t1,
-                                                        panels, dt)
-    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, sample_times=tuple(nodes))
+    clock = prop.StepperConfig(dt=dt, t0=t0, t_final=t0 + 32 * dt)
+    nodes, g_table, final = cook.dipole_node_trajectory(spec, flds, psi0, clock, panels)
     states = []
-    traj = prop.evolve(spec, psi0, cfg, on_sample=lambda s, psi: states.append(psi.copy()))
+    traj = prop.evolve(spec, psi0, clock, on_sample=lambda k, psi: states.append(psi.copy()),
+                       every=2)
     np.testing.assert_array_equal(final.values, traj.terminal_state.values)
     assert g_table.shape == (2, nodes.size) == (2, len(states))
     _, w_fine = cook.simpson_weights(2 * panels, nodes[0], nodes[-1])
@@ -145,6 +144,32 @@ def test_streamed_g_table_matches_stored_node_states():
                         for s, psi in zip(nodes, states)])
         np.testing.assert_array_equal(row, ref)
         assert cook._bound_from_samples(nodes, row, panels)[0] == float(w_fine @ ref)
+
+
+def test_node_run_hands_the_integrand_the_simpson_node_times(monkeypatch):
+    # with this clock t0 + k dt differs from the Simpson nodes t0 + h j in
+    # the last bits at two of the five nodes; g must see the Simpson nodes
+    g, env, _, pot = transverse_setup()
+    psi0 = spatial.gaussian_packet(g, 0.0, 1.5, 0.0)
+    fld = fields.ScaledField(env, 20.0, 1.0)
+    t0, dt, panels = 0.1, 2 * np.pi / 640, 1
+    clock = prop.StepperConfig(dt=dt, t0=t0, t_final=t0 + 20 * dt)
+    nodes, _ = cook.simpson_weights(2 * panels, clock.t0, clock.t_final)
+    assert sum(t0 + k * dt != s for k, s in zip(range(0, 21, 5), nodes)) == 2
+    seen = []
+    monkeypatch.setattr(cook, "cook_integrand", lambda f, s, psi: seen.append(s) or 0.0)
+    got, _, _ = cook.dipole_node_trajectory(ham.dipole_velocity(fld, pot), [fld], psi0,
+                                            clock, panels)
+    assert seen == list(nodes) and list(got) == list(nodes)
+
+
+def test_node_run_rejects_steps_that_miss_a_node():
+    # 20 steps cannot be cut into the 16 intervals of 4 panels
+    g, env, fld, pot = transverse_setup()
+    psi0 = spatial.gaussian_packet(g, 0.0, 1.5, 0.0)
+    clock = prop.StepperConfig(dt=0.01, t0=0.1, t_final=0.1 + 20 * 0.01)
+    with pytest.raises(ConfigError, match="4 \\* panels = 16 must divide"):
+        cook.dipole_node_trajectory(ham.dipole_velocity(fld, pot), [fld], psi0, clock, 4)
 
 
 @pytest.fixture(scope="module")

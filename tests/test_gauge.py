@@ -47,11 +47,14 @@ def _cross_gauge_min_fidelity(grid, fld, potential, dt, t0, t1, n_marks=8):
     spec_l = ham.dipole_length(fld, potential)
     _, psi0 = prop.ground_state_imaginary_time(potential, grid, tol=1e-7)
     sample = tuple(t0 + (t1 - t0) * j / n_marks for j in range(n_marks + 1))
-    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split", sample_times=sample)
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t1, method="split")
+    every = cfg.nsteps // n_marks
     marks_v, marks_l = [], []
-    prop.evolve(spec_v, psi0, cfg, on_sample=lambda t, p: marks_v.append(p.copy()))
+    prop.evolve(spec_v, psi0, cfg, on_sample=lambda k, p: marks_v.append(p.copy()),
+                every=every)
     prop.evolve(spec_l, gauge.velocity_to_length(psi0, fld, t0), cfg,
-                on_sample=lambda t, p: marks_l.append(p.copy()))
+                on_sample=lambda k, p: marks_l.append(p.copy()), every=every)
+    assert len(marks_v) == len(marks_l) == len(sample)
     fids = [gauge.phase_fidelity(gauge.velocity_to_length(sv, fld, t), sl)
             for t, sv, sl in zip(sample, marks_v, marks_l)]
     rev = [gauge.phase_fidelity(gauge.length_to_velocity(sl, fld, t), sv)

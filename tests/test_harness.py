@@ -519,6 +519,9 @@ def test_cli_sweep_off_the_step_lattice_fails_before_compute(tmp_path, capsys,
     # 1,296 steps hold the 16 marks but not the 128 intervals of 32 panels
     with pytest.raises(ConfigError, match="divisible by 128"):
         replace(harness.preset_config("cw-1d"), dt=2 * np.pi / 1296).validate()
+    # a span within the step-count tolerance of zero is zero steps, no lattice
+    with pytest.raises(ConfigError, match="divisible by 128"):
+        replace(harness.preset_config("cw-1d"), t0=1.0, t_final=1.0 + 1e-12).validate()
 
 
 def test_cli_unknown_subcommand():

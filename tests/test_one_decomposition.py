@@ -6,7 +6,8 @@ them; the steppers, the eigensolver and the bounds module read those pieces.
 A module that reads a spec's ``kind`` or names a kind constant is a second
 decomposition.  Likewise one operator type in ``hamiltonians`` applies both
 H and W, and ``spatial`` alone cuts k^2 to the half spectrum of the real
-transforms.  The sources are parsed with ``ast``, nothing is imported.
+transforms.  ``propagate.StepperConfig.nsteps`` alone turns a time span into a
+step count.  The sources are parsed with ``ast``, nothing is imported.
 """
 
 import ast
@@ -114,3 +115,32 @@ def test_the_guards_see_each_form_of_a_slice_and_an_apply():
     tree = ast.parse(source)
     assert half_spectrum_slices(tree) == [1, 2, 3]
     assert apply_definitions(tree) == [6, 7]
+
+
+def time_to_step_conversions(tree: ast.AST) -> list[int]:
+    """Line numbers that name TIME_MATCH_TOL or round a quotient by dt."""
+    lines = []
+    for node in ast.walk(tree):
+        tolerance = (terminal_name(node) == "TIME_MATCH_TOL"
+                     or isinstance(node, ast.alias) and node.name == "TIME_MATCH_TOL")
+        rounded = (isinstance(node, ast.Call) and terminal_name(node.func) == "round"
+                   and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+                           and terminal_name(sub.right) == "dt"
+                           for arg in node.args for sub in ast.walk(arg)))
+        if tolerance or rounded:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_propagate_turns_times_into_steps():
+    assert found_outside("propagate.py", time_to_step_conversions) == {}
+
+
+def test_the_guard_sees_each_form_of_a_time_to_step_conversion():
+    source = ("from .propagate import TIME_MATCH_TOL\n"
+              "k = int(round((s - t0) / dt))\n"
+              "n = round(span / self.dt)\n"
+              "tol = propagate.TIME_MATCH_TOL\n"
+              "m = round(span / width)\n"
+              "q = (t1 - t0) / dt\n")
+    assert time_to_step_conversions(ast.parse(source)) == [1, 2, 3, 4]

@@ -204,14 +204,19 @@ def test_evolve_requires_normalized_state():
 
 
 def test_evolve_rejects_misaligned_sample_times():
+    # a hook stride that does not divide the 10 steps, and a dt that does not
+    # divide the span, are configuration errors before any step
     g = spatial.make_grid(1, 64, 20.0)
     psi = spatial.gaussian_packet(g, 0.0, 1.5, 0.0)
-    cfg = prop.StepperConfig(dt=1e-2, t0=0.0, t_final=0.1,
-                             sample_times=(0.055,))
-    with pytest.raises(ConfigError):
-        prop.evolve(cw_dipole_spec(), psi, cfg)
+    cfg = prop.StepperConfig(dt=1e-2, t0=0.0, t_final=0.1)
+    assert cfg.nsteps == 10
+    for every in (3, 4, 20, 0, -5):
+        with pytest.raises(ConfigError, match="stride"):
+            prop.evolve(cw_dipole_spec(), psi, cfg, on_sample=lambda k, p: None, every=every)
     cfg2 = prop.StepperConfig(dt=3e-2, t0=0.0, t_final=0.1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="dt must divide"):
+        cfg2.nsteps
+    with pytest.raises(ConfigError, match="dt must divide"):
         prop.evolve(cw_dipole_spec(), psi, cfg2)
 
 
@@ -219,12 +224,14 @@ def test_evolve_records_states_at_sample_times():
     g = spatial.make_grid(1, 128, 40.0)
     spec = cw_dipole_spec(0.5, 10.0)
     _, psi = prop.ground_state_imaginary_time(spec.potential, g, tol=1e-7)
-    times = tuple(0.01 + j * 0.05 for j in range(5))
-    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=times[-1], sample_times=times)
+    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=0.01 + 20 * 1e-2)
     marks = []
-    traj = prop.evolve(spec, psi, cfg, on_sample=lambda t, p: marks.append((t, p.copy())))
-    assert [t for t, _ in marks] == list(times)
-    # the last mark is the final state, which the trajectory holds
+    traj = prop.evolve(spec, psi, cfg, on_sample=lambda k, p: marks.append((k, p.copy())),
+                       every=5)
+    assert [k for k, _ in marks] == [0, 5, 10, 15, 20]
+    # the first mark is the initial state and the last the final state,
+    # which the trajectory holds
+    np.testing.assert_array_equal(marks[0][1].values, psi.values)
     np.testing.assert_array_equal(marks[-1][1].values, traj.terminal_state.values)
 
 
@@ -232,16 +239,17 @@ def test_on_sample_hook_sees_each_sample_once_in_step_order():
     g = spatial.make_grid(1, 128, 40.0)
     spec = cw_dipole_spec(0.5, 10.0)
     psi = spatial.gaussian_packet(g, 0.0, 1.5, 0.5)
-    times = (0.21, 0.01, 0.11, 0.11, 0.06)   # out of order, one repeated
-    cfg = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=0.21, sample_times=times)
+    t0, dt = 0.01, 1e-2
+    cfg = prop.StepperConfig(dt=dt, t0=t0, t_final=t0 + 20 * dt)
     plain = prop.evolve(spec, psi, cfg)
     seen = []
     hooked = prop.evolve(spec, psi, cfg,
-                         on_sample=lambda t, p: seen.append((t, p.values.copy())))
-    assert [t for t, _ in seen] == [0.01, 0.06, 0.11, 0.21]
+                         on_sample=lambda k, p: seen.append((k, p.values.copy())), every=5)
+    assert [k for k, _ in seen] == [0, 5, 10, 15, 20]
     # each mark is the final state of a run that stops there
-    for t, values in seen:
-        upto = prop.StepperConfig(dt=1e-2, t0=0.01, t_final=t)
+    for k, values in seen:
+        upto = prop.StepperConfig(dt=dt, t0=t0, t_final=t0 + k * dt)
+        assert upto.nsteps == k
         np.testing.assert_array_equal(values, prop.evolve(spec, psi, upto).terminal_state.values)
     np.testing.assert_array_equal(hooked.terminal_state.values, plain.terminal_state.values)
     assert ((hooked.nsteps, hooked.max_step_drift, hooked.terminal_norm)
