@@ -270,19 +270,11 @@ def is_commensurate(env: LaserEnvelope, grid, lam: float) -> bool:
     Plane waves need an integer number of wavelengths along every axis with a
     nonzero propagation component.  The pulse has no spatial period and enters
     the axis-aligned geometries as a multiplication operator, so it carries no
-    periodicity requirement; the zero envelope is trivially periodic.
+    periodicity requirement; the zero envelope is trivially periodic.  The
+    plane-wave answer is decided once per geometry, with the cached
+    ``_sampling_geometry`` entry.
     """
-    if env.kind != CW:
-        return True
-    d = grid.per_particle_dim
-    for i, k_i in enumerate(grid_components(env.k_hat, grid)):
-        if abs(k_i) < 1e-15:
-            continue
-        for p in range(grid.particles):
-            ratio = abs(k_i) * grid.lengths[p * d + i] / lam
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
-                return False
-    return True
+    return env.kind != CW or _sampling_geometry(ScaledField(env, lam, 1.0), grid)[2]
 
 
 def snap_lambda(box_length: float, m: int) -> float:
@@ -345,11 +337,13 @@ _geometry_lock = threading.Lock()   # a sweep's wavelength threads share the cac
 
 
 def _sampling_geometry(field: ScaledField, grid):
-    """The time-independent part of ``coupling_arrays``: (rays, eps_axes).
+    """The time-independent part of ``coupling_arrays``: (rays, eps_axes, periodic).
 
     rays[p] is particle p's ray offset 2 pi k_hat.x / lam, broadcastable
     against the grid (read-only); eps_axes[p] lists (grid axis, eps_i) for
-    each nonzero on-grid polarization component of particle p.  Cached per
+    each nonzero on-grid polarization component of particle p.  periodic
+    says whether a plane wave along k_hat fits a whole number (at least one)
+    of wavelengths into the box along every axis it moves along.  Cached per
     geometry, oldest entry evicted first.
     """
     env = field.envelope
@@ -361,15 +355,19 @@ def _sampling_geometry(field: ScaledField, grid):
     d = grid.per_particle_dim
     k = grid_components(env.k_hat, grid)
     eps = grid_components(env.eps_hat, grid)
-    rays, eps_axes = [], []
+    rays, eps_axes, periodic = [], [], True
     for p in range(grid.particles):
         u = np.zeros((1,) * grid.dim)
         for i in np.flatnonzero(k):
             u = u + (2.0 * np.pi * k[i] / field.lam) * grid.mesh(p * d + i)
+            ratio = abs(k[i]) * grid.lengths[p * d + i] / field.lam
+            if abs(k[i]) >= 1e-15 and (abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
+                                       or round(ratio) < 1):
+                periodic = False
         u.setflags(write=False)
         rays.append(u)
         eps_axes.append([(p * d + i, eps[i]) for i in np.flatnonzero(eps)])
-    geometry = rays, eps_axes
+    geometry = rays, eps_axes, periodic
     with _geometry_lock:
         while len(_geometry_cache) >= GEOMETRY_CACHE_SIZE:
             del _geometry_cache[next(iter(_geometry_cache))]
@@ -389,7 +387,7 @@ def coupling_arrays(field: ScaledField, t: float, grid, dipole: bool = False):
     per call; the geometry comes from ``_sampling_geometry``.
     """
     env = field.envelope
-    rays, eps_axes = _sampling_geometry(field, grid)
+    rays, eps_axes, _ = _sampling_geometry(field, grid)
     amp = env.amplitude / field.omega
     s = field.omega * t
     if dipole:

@@ -350,6 +350,11 @@ class SweepResult:
     def errors(self) -> list:
         return [r.error for r in self.records]
 
+    @property
+    def dipole_infidelity(self) -> float:
+        """1 - |<psi0, psi_d(T)>|^2: whether the dipole side moved the initial state."""
+        return 1.0 - phase_fidelity(self.psi0, self.dipole_final) ** 2
+
 
 def _fit_decay_slope(records) -> float | None:
     """Decay exponent p in e ~ lam^-p over the top decade of wavelengths."""
@@ -511,7 +516,7 @@ def _write_cook_csv(path, result: SweepResult, config_hash: str) -> None:
 
 
 def run_study(config: StudyConfig, outdir, sweep: SweepResult | None = None) -> Path:
-    """Sweep + gauge check + certificate table, persisted under the config hash."""
+    """Gauge check + sweep + certificate table, persisted under the config hash."""
     config.validate()
     chash = config.config_hash()
     target = Path(outdir) / config.preset / chash
@@ -519,9 +524,11 @@ def run_study(config: StudyConfig, outdir, sweep: SweepResult | None = None) -> 
     (target / "snapshots").mkdir(exist_ok=True)
 
     wall_start = time.perf_counter()
+    # the gauge check first: both ground solves, which hold the study's
+    # largest blocks, then run before the Krylov sweep's short-lived bases
+    gauge_report = run_gauge_check(config)
     if sweep is None:
         sweep = run_convergence_sweep(config)
-    gauge_report = run_gauge_check(config)
 
     _write_sweep_csv(target / "sweep.csv", sweep, chash)
     _write_cook_csv(target / "cook.csv", sweep, chash)
@@ -545,6 +552,7 @@ def run_study(config: StudyConfig, outdir, sweep: SweepResult | None = None) -> 
         "slope": sweep.slope,
         "partial": sweep.partial,
         "initial_energy": sweep.initial_energy,
+        "dipole_infidelity": sweep.dipole_infidelity,
         "conventions": {"omega": config.omega, "amplitude": config.amplitude,
                         "units": "hbar=e=1, m=1/2"},
         "runtimes_s": {

@@ -49,6 +49,10 @@ TIME_MATCH_TOL = 1e-9
 LANCZOS_M = 24
 LANCZOS_MAX_RESTARTS = 800
 
+# A Krylov step's basis starts with LOCAL_ROWS rows: the presets' steps fill 3
+# to 5, and a step that needs more grows the basis to krylov_m by one copy.
+LOCAL_ROWS = 6
+
 
 @dataclass
 class StepperConfig:
@@ -128,20 +132,22 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int, local: bool = False):
 
     Yields (V, alphas, betas, b) after each new basis vector: the basis rows
     V, the tridiagonal T = tridiag(betas, alphas, betas) and the norm b of the
-    next residual.  The basis is preallocated as (m, N).  Each residual is
-    re-orthogonalised against the whole basis by block classical Gram-Schmidt,
-    applied twice.  With local=True it is orthogonalised once, against the
-    previous two vectors only (the plain three-term recurrence), which is
-    enough for the few vectors of a Krylov step.  At most m vectors are built;
-    the caller stops early by leaving the loop.  apply_fn must return a new
-    array, not a view of its argument.  The basis takes the result type of v0
-    and the first apply: a real operator started from a real vector (the
-    ground state of -Lap + V, the normal operator of a real W) keeps a real
-    basis of half the memory.
+    next residual.  Each residual is re-orthogonalised against the whole
+    basis by block classical Gram-Schmidt, applied twice, on a basis
+    allocated as (m, N).  With local=True it is orthogonalised once, against
+    the previous two vectors only (the plain three-term recurrence), which is
+    enough for the few vectors of a Krylov step; that basis is allocated as
+    LOCAL_ROWS rows and grown to m rows by one copy only when a step needs
+    more.  At most m vectors are built; the caller stops early by leaving the
+    loop.  apply_fn must return a new array, not a view of its argument.  The
+    basis takes the result type of v0 and the first apply: a real operator
+    started from a real vector (the ground state of -Lap + V, the normal
+    operator of a real W) keeps a real basis of half the memory.
     """
     shape = v0.shape
     w = apply_fn(v0).ravel()
-    V = np.empty((m, v0.size), dtype=np.result_type(v0, w))
+    V = np.empty((min(m, LOCAL_ROWS) if local else m, v0.size),
+                 dtype=np.result_type(v0, w))
     V[0] = v0.ravel()
     alphas = np.empty(m)
     betas = np.empty(m - 1)
@@ -158,6 +164,10 @@ def _lanczos(apply_fn, v0: np.ndarray, m: int, local: bool = False):
         yield V[:j + 1], alphas[:j + 1], betas[:j], b
         if j + 1 < m:
             betas[j] = b
+            if j + 1 == len(V):
+                grown = np.empty((m, v0.size), V.dtype)
+                grown[:j + 1] = V
+                V = grown
             np.multiply(w, 1.0 / b, out=V[j + 1])
 
 

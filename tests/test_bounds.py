@@ -1,6 +1,5 @@
 import json
 import random
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,6 +8,8 @@ import pytest
 
 from dipolelab import bounds, fields, hamiltonians as ham, harness, propagate, spatial
 from dipolelab.errors import ConfigError, NumericalError
+
+from conftest import traced_peak
 
 
 def free_spec():
@@ -344,12 +345,7 @@ def test_bounds_suite_holds_one_probe_block_not_the_ensemble(monkeypatch):
     monkeypatch.setattr(bounds, "contraction_scan", lambda *args, **kwargs: fixed)
     # a first run fills the grid's caches and the FFT plan cache
     bounds.run_bounds_suite(spec, 0.1, g, seed=4)
-    tracemalloc.start()
-    try:
-        bounds.run_bounds_suite(spec, 0.1, g, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(bounds.run_bounds_suite, spec, 0.1, g, seed=3)
     assert peak < 8 * state_bytes
 
 
@@ -596,10 +592,5 @@ def test_real_contraction_scan_holds_a_real_basis():
     state_bytes = g.npoints * 16
     # a first run fills the grid's caches and the FFT plan cache
     bounds.contraction_scan(w, [1.0], seed=4)
-    tracemalloc.start()
-    try:
-        bounds.contraction_scan(w, bounds.SUITE_ALPHAS, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(bounds.contraction_scan, w, bounds.SUITE_ALPHAS, seed=3)
     assert peak < 20 * state_bytes

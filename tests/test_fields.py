@@ -317,7 +317,7 @@ def test_sampling_geometry_cache_is_bounded():
     # omega and the time are no part of the geometry
     first = fields._sampling_geometry(fields.ScaledField(env, 8.0, 1.0), grid)
     assert fields._sampling_geometry(fields.ScaledField(env, 8.0, 2.0), grid) is first
-    rays, _ = first
+    rays, _, _ = first
     assert not any(u.flags.writeable for u in rays)
 
 

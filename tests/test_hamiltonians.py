@@ -1,11 +1,12 @@
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from dipolelab import bounds, fields, hamiltonians as ham, harness, propagate, spatial
 from dipolelab.errors import ConfigError
+
+from conftest import traced_peak
 
 
 def zero_field():
@@ -129,12 +130,7 @@ def test_hermiticity_defect_holds_the_probes_and_one_applied_state():
     env = fields.transverse_envelope("cw", 0.25, 1)
     spec = ham.full_coupling(fields.ScaledField(env, 10.0, 1.0), ham.soft_core_coulomb())
     first = ham.hermiticity_defect(spec, 0.3, g)   # fills the module caches
-    tracemalloc.start()
-    try:
-        defect = ham.hermiticity_defect(spec, 0.3, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    defect, peak = traced_peak(ham.hermiticity_defect, spec, 0.3, g)
     assert defect == first <= 1e-10
     assert peak < 14 * g.npoints * 16
 
@@ -187,6 +183,32 @@ def test_full_coupling_requires_commensurate_grid():
     psi = spatial.gaussian_packet(g, 0.0, 1.0, 0.0)
     with pytest.raises(ConfigError):
         apply(spec, 0.0, psi)
+
+
+def test_full_coupling_decides_commensurability_once_per_geometry(monkeypatch):
+    # the answer is kept with the cached sampling geometry: a repeated build
+    # recomputes nothing, gives the same terms, and a non-commensurate field
+    # raises the same error on every build
+    g = spatial.make_grid(1, 256, 40.0)
+    env = fields.transverse_envelope("cw", 0.5, 1)
+    fit, misfit = (ham.full_coupling(fields.ScaledField(env, lam, 1.0), ham.soft_core_coulomb())
+                   for lam in (10.0, 33.0))
+    first = ham.coupling_terms(fit, 0.3, g)
+    with pytest.raises(ConfigError) as refused:
+        ham.coupling_terms(misfit, 0.3, g)
+
+    def recomputed(*args):
+        raise AssertionError("the sampling geometry was computed again")
+
+    monkeypatch.setattr(fields, "grid_components", recomputed)
+    again = ham.coupling_terms(fit, 0.3, g)
+    np.testing.assert_array_equal(again[1], first[1])
+    # off-grid polarization: no shift and no gradient terms
+    assert (again[0], again[2]) == (first[0], first[2]) == (0.0, [])
+    for _ in range(2):
+        with pytest.raises(ConfigError) as again_refused:
+            ham.coupling_terms(misfit, 0.3, g)
+        assert str(again_refused.value) == str(refused.value)
 
 
 def test_nbody_reduces_to_soft_core():
@@ -343,10 +365,5 @@ def test_warm_apply_peaks_below_three_states(operator):
     rng = np.random.default_rng(14)
     values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     fn(values)
-    tracemalloc.start()
-    try:
-        fn(values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(fn, values)
     assert peak < 3 * values.nbytes

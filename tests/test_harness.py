@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dipolelab
-from dipolelab import cli, harness
+from dipolelab import cli, harness, spatial
 from dipolelab.errors import ConfigError, NumericalError
+from dipolelab.gauge import phase_fidelity
+
+from conftest import traced_peak
 
 
 def trimmed_config(**overrides):
@@ -303,12 +305,7 @@ def test_gauge_check_holds_one_trajectorys_marks():
                          lambdas=(32.0,), initial_state="packet", packet_sigma=3.0,
                          t_final=dt + 64 * dt, dt=dt, panels=4)
     harness.run_gauge_check(cfg)   # fills the module caches
-    tracemalloc.start()
-    try:
-        report = harness.run_gauge_check(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(harness.run_gauge_check, cfg)
     assert len(report["fidelity_forward"]) == len(report["fidelity_reverse"]) == 17
     assert peak < 30 * 32 * 32 * 16
 
@@ -330,12 +327,7 @@ def test_gauge_check_holds_a_fixed_handful_of_states():
     # peak was 23.6 states
     cfg = packet_gauge_config()
     harness.run_gauge_check(cfg)   # fills the module caches
-    tracemalloc.start()
-    try:
-        report = harness.run_gauge_check(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(harness.run_gauge_check, cfg)
     assert len(report["fidelity_forward"]) == len(report["fidelity_reverse"]) == 17
     assert report["min_fidelity"] >= 1 - 1e-12
     assert peak < 16 * PACKET_GAUGE_POINTS * 16
@@ -380,6 +372,35 @@ def test_run_study_artifacts(tmp_path):
     sweep_rows = (target / "sweep.csv").read_text().strip().splitlines()
     assert sweep_rows[0].startswith("lambda,error,cook_bound")
     assert all(row.endswith(cfg.config_hash()) for row in sweep_rows[1:])
+
+
+def test_manifest_dipole_infidelity_reads_zero_for_a_stationary_dipole_side(tmp_path):
+    # off-grid polarization in 1-D makes the dipole coupling a global phase,
+    # so the dipole run leaves the ground state where it started
+    cfg = trimmed_config()
+    target = harness.run_study(cfg, tmp_path)
+    manifest = json.loads((target / "manifest.json").read_text())
+    psi0 = spatial.read_snapshot(target / "snapshots" / "initial.dplw")
+    final = spatial.read_snapshot(target / "snapshots" / "dipole_final.dplw")
+    assert 0.0 <= manifest["dipole_infidelity"] <= 1e-9
+    assert manifest["dipole_infidelity"] == 1.0 - phase_fidelity(psi0, final) ** 2
+
+
+def test_in_plane_sweep_whose_dipole_side_moves():
+    # in-plane polarization: the dipole coupling b(0, t).p moves the ground
+    # state, and the coupling b(r, t).grad is nonzero in the full runs
+    cfg = harness.StudyConfig(grid_dim=2, grid_points=(64, 64), grid_lengths=(48.0, 48.0),
+                              polarization="in_plane", amplitude=0.25,
+                              lambdas=(12.0, 24.0, 48.0), dt=2 * np.pi / 640, panels=16)
+    sweep = harness.run_convergence_sweep(cfg)
+    errors = [r.error for r in sweep.records]
+    bounds = [r.bound for r in sweep.records]
+    assert np.isfinite(errors + bounds).all()
+    assert errors[0] > errors[1] > errors[2]
+    assert all(e <= 1.05 * b + 1e-6 for e, b in zip(errors, bounds))
+    assert 0.7 <= sweep.slope <= 1.3
+    assert harness.run_gauge_check(cfg)["min_fidelity"] >= 1 - 1e-6
+    assert sweep.dipole_infidelity > 0.1
 
 
 def test_rerun_from_manifest_reproduces(tmp_path):
@@ -611,18 +632,13 @@ def test_sweep_peak_memory_does_not_grow_with_panels():
     # times the panels (17 -> 65 nodes) adds less than two states to the peak
     dt = np.pi / 512
 
-    def traced_peak(panels):
+    def sweep_peak(panels):
         cfg = trimmed_config(grid_dim=2, grid_points=(32, 32), grid_lengths=(32.0, 32.0),
                              lambdas=(32.0,), initial_state="packet", packet_sigma=3.0,
                              t_final=dt + 64 * dt, dt=dt, panels=panels)
-        tracemalloc.start()
-        try:
-            harness.run_convergence_sweep(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(harness.run_convergence_sweep, cfg)[1]
 
     state_bytes = 32 * 32 * 16
-    traced_peak(4)   # fills the module caches
-    small = traced_peak(4)
-    assert traced_peak(16) - small < 2 * state_bytes
+    sweep_peak(4)   # fills the module caches
+    small = sweep_peak(4)
+    assert sweep_peak(16) - small < 2 * state_bytes

@@ -1,6 +1,6 @@
 import gc
-import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from scipy.linalg import eigh, expm
 from dipolelab import fields, hamiltonians as ham, harness, propagate as prop, spatial
 from dipolelab.bounds import probe_ensemble
 from dipolelab.errors import ConfigError, NumericalError
+
+from conftest import traced_peak
 
 
 def zero_spec(potential=None):
@@ -420,12 +422,7 @@ def test_ground_solve_holds_less_than_one_complex_basis():
     cfg = harness.preset_config("two-body-1d")
     grid, pot = cfg.build_grid(), cfg.build_potential()
     prop.ground_state_imaginary_time(pot, grid, tol=cfg.ground_tol)   # warm the caches
-    tracemalloc.start()
-    try:
-        prop.ground_state_imaginary_time(pot, grid, tol=cfg.ground_tol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(prop.ground_state_imaginary_time, pot, grid, tol=cfg.ground_tol)
     # a complex basis of LANCZOS_M states alone is 6 MiB on this grid
     assert peak < prop.LANCZOS_M * 16 * grid.npoints
 
@@ -603,6 +600,75 @@ def test_krylov_local_recurrence_matches_dense_expm(monkeypatch):
     assert builds == [t + 0.5 * dt, t + 0.25 * dt, t + 0.75 * dt]
     ref = dense_step(dense_step(psi, t + 0.25 * dt, 0.5 * dt), t + 0.75 * dt, 0.5 * dt)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
+def test_krylov_basis_grows_past_its_first_block_only_when_a_step_needs_it(monkeypatch):
+    # a step allocates LOCAL_ROWS rows and grows them to m by one copy; a step
+    # that needs more rows matches the dense exponential and, row for row, a
+    # basis of m rows allocated up front
+    g = spatial.make_grid(1, 64, 20.0)
+    env = fields.transverse_envelope("pulse", 0.5, 1)
+    spec = ham.full_coupling(fields.ScaledField(env, fields.snap_lambda(20.0, 2), 1.0),
+                             ham.soft_core_coulomb(1.0, 1.0))
+    psi = probe_ensemble(g, 1, seed=3)[0].values
+    t, dt, m, tol = 0.3, 0.1, 24, 1e-13
+    fn = ham.hamiltonian_apply_fn(spec, t + 0.5 * dt, g)
+    rows = [V.base.shape[0] for V, *_ in prop._lanczos(fn, psi / np.linalg.norm(psi), m,
+                                                        local=True)]
+    assert rows == [prop.LOCAL_ROWS] * prop.LOCAL_ROWS + [m] * (m - prop.LOCAL_ROWS)
+
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return fn(x)
+
+    out, est = prop._lanczos_expm(apply, psi, dt, m, tol)
+    assert est <= tol and len(calls) > prop.LOCAL_ROWS
+    h = prop.dense_hamiltonian(spec, t + 0.5 * dt, g)
+    np.testing.assert_allclose(out, expm(-1j * dt * 0.5 * (h + h.conj().T)) @ psi,
+                               rtol=0, atol=1e-12)
+    monkeypatch.setattr(prop, "LOCAL_ROWS", m)
+    np.testing.assert_array_equal(prop._lanczos_expm(fn, psi, dt, m, tol)[0], out)
+
+
+@pytest.fixture(scope="module")
+def two_body_start():
+    """The two-body preset's clock, field at its shortest lambda, potential and psi0."""
+    cfg = harness.preset_config("two-body-1d")
+    grid, env, potential, clock = cfg.validate()
+    psi0, _ = cfg.build_initial_state(grid)
+    return clock, fields.ScaledField(env, cfg.lambdas[0], cfg.omega), potential, psi0
+
+
+def test_krylov_evolve_reserves_only_the_lanczos_rows_it_fills(two_body_start):
+    # the two-body steps fill 4 or 5 rows; with krylov_m = 24 rows reserved
+    # per step the peak was 29.5 states
+    clock, fld, potential, psi0 = two_body_start
+    spec = ham.full_coupling(fld, potential)
+    short = replace(clock, method=prop.KRYLOV, t_final=clock.t0 + 20 * clock.dt)
+    prop.evolve(spec, psi0, short)   # fills the module caches
+    _, peak = traced_peak(prop.evolve, spec, psi0, short)
+    assert peak < 14 * psi0.grid.npoints * 16
+
+
+def test_two_body_states_stay_exchange_symmetric(two_body_start):
+    # psi(x1, x2) = psi(x2, x1) for the ground state and every state of a
+    # Krylov full-coupling run and a split dipole run
+    clock, fld, potential, psi0 = two_body_start
+
+    def asymmetry(values):
+        return np.max(np.abs(values - values.T)) / np.max(np.abs(values))
+
+    assert asymmetry(psi0.values) <= 1e-12
+    seen = []
+    for spec, method in ((ham.full_coupling(fld, potential), prop.KRYLOV),
+                         (ham.dipole_velocity(fld, potential), prop.SPLIT)):
+        run = replace(clock, method=method, t_final=clock.t0 + 40 * clock.dt)
+        prop.evolve(spec, psi0, run,
+                    on_sample=lambda k, psi: seen.append(asymmetry(psi.values)))
+    assert len(seen) == 2 * 41
+    assert max(seen) <= 1e-12
 
 
 def test_top_eigenpair_of_minus_h_matches_eigh():
