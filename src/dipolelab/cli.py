@@ -8,6 +8,7 @@ BLAS and OpenMP pools run one thread unless the environment sets a count.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -22,9 +23,9 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 from .errors import ConfigError, NumericalError  # noqa: E402
-from .harness import (PRESETS, StudyConfig, preset_config, run_bounds_check,  # noqa: E402
-                      run_convergence_sweep, run_cook_comparison,
-                      run_field_check, run_gauge_check, run_study)
+from .harness import (PRESETS, StudyConfig, cook_reports, preset_config,  # noqa: E402
+                      run_bounds_check, run_convergence_sweep, run_field_check,
+                      run_gauge_check, run_study)
 
 
 @functools.cache
@@ -76,6 +77,22 @@ def _emit(payload: dict, outdir: str, name: str) -> None:
     print(f"wrote {path}")
 
 
+def _report_study(target: Path) -> int:
+    """Print a finished study's rows and slope from its files; 2 if a wavelength failed."""
+    with open(target / "sweep.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            lam = float(row["lambda"])
+            if row["error"]:
+                print(f"lambda={lam:<8g} e={float(row['error']):.6e} "
+                      f"B={float(row['cook_bound']):.6e}")
+            else:
+                print(f"lambda={lam:g} FAILED: {row['diagnostic']}")
+    manifest = json.loads((target / "manifest.json").read_text())
+    print(f"decay slope: {manifest['slope']}")
+    print(f"artifacts in {target}")
+    return 2 if manifest["partial"] else 0
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -84,39 +101,22 @@ def main(argv=None) -> int:
         # problems (its default code 2 is reserved for numerical failures)
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "preset":
-            target = run_study(_load_config(args), args.out)
-            print(f"preset {args.name} artifacts in {target}")
-            return 0
-
         config = _load_config(args)
+        if args.command in ("preset", "sweep"):
+            return _report_study(run_study(config, args.out))
+
         chash = config.config_hash()
-        if args.command == "sweep":
-            result = run_convergence_sweep(config)
-            for rec in result.records:
-                if rec.error is None:
-                    print(f"lambda={rec.lam:g} FAILED: {rec.diagnostic}")
-                else:
-                    print(f"lambda={rec.lam:<8g} e={rec.error:.6e} B={rec.bound:.6e}")
-            print(f"decay slope: {result.slope}")
-            target = run_study(config, args.out, sweep=result)
-            print(f"artifacts in {target}")
-            if result.partial:
-                return 2
-            return 0
         if args.command == "gauge-check":
             report = run_gauge_check(config)
             print(f"min cross-gauge fidelity: {report['min_fidelity']:.9f}")
             _emit({**report, "config_hash": chash}, args.out, "gauge_check.json")
             return 0
         if args.command == "cook":
-            reports = run_cook_comparison(config)
+            reports = cook_reports(run_convergence_sweep(config))
             for rep in reports:
-                e = "n/a" if rep.measured_error is None else f"{rep.measured_error:.6e}"
-                print(f"lambda={rep.lam:<8g} B={rep.bound:.6e} e={e}")
-            _emit({"config_hash": chash,
-                   "reports": [r.to_json_dict() for r in reports]},
-                  args.out, "cook_reports.json")
+                print(f"lambda={rep['lambda']:<8g} B={rep['bound']:.6e} "
+                      f"e={rep['measured_error']:.6e}")
+            _emit({"config_hash": chash, "reports": reports}, args.out, "cook_reports.json")
             return 0
         if args.command == "bounds":
             report = run_bounds_check(config)

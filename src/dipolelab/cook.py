@@ -22,8 +22,6 @@ from the full-coupling runs of the harness sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError
@@ -34,41 +32,6 @@ from .propagate import StepperConfig, evolve
 from .spatial import WaveFunction, spectral_axis_derivative
 
 QUAD_SELF_TOL = 0.01
-
-
-@dataclass
-class CookReport:
-    """Certified bound, quadrature data, and the measured error it certifies."""
-
-    lam: float
-    omega: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    g_values: np.ndarray
-    bound: float
-    bound_coarse: float
-    quad_self_error: float
-    quad_flag: bool
-    measured_error: float | None = None
-    slack: float | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "lambda": self.lam,
-            "omega": self.omega,
-            "nodes": [float(x) for x in self.nodes],
-            "weights": [float(x) for x in self.weights],
-            "g_values": [float(x) for x in self.g_values],
-            "bound": self.bound,
-            "bound_coarse": self.bound_coarse,
-            "quad_self_error": self.quad_self_error,
-            "quad_flag": self.quad_flag,
-            "measured_error": self.measured_error,
-            "slack": self.slack,
-        }
-        out.update(self.metadata)
-        return out
 
 
 def cook_integrand(fld: ScaledField, s: float, psi: WaveFunction) -> float:

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import run_bounds_suite
-from .cook import (CookReport, _bound_from_samples, dipole_node_trajectory,
-                   simpson_weights)
+from .cook import _bound_from_samples, dipole_node_trajectory, simpson_weights
 from .errors import ConfigError, NumericalError
 from .fields import (CW, PULSE, PULSE_WINDOW, LaserEnvelope, ScaledField,
                      check_divergence_free, check_transversality,
@@ -347,10 +346,6 @@ class SweepResult:
     partial: bool
 
     @property
-    def errors(self) -> list:
-        return [r.error for r in self.records]
-
-    @property
     def dipole_infidelity(self) -> float:
         """1 - |<psi0, psi_d(T)>|^2: whether the dipole side moved the initial state."""
         return 1.0 - phase_fidelity(self.psi0, self.dipole_final) ** 2
@@ -414,23 +409,19 @@ def run_convergence_sweep(config: StudyConfig) -> SweepResult:
         partial=any(r.diagnostic for r in records))
 
 
-def run_cook_comparison(config: StudyConfig) -> list[CookReport]:
-    """B(lam) vs e(lam) reports across the sweep."""
-    sweep = run_convergence_sweep(config)
-    _, weights = simpson_weights(2 * config.panels, sweep.nodes[0], sweep.nodes[-1])
-    reports = []
-    for rec in sweep.records:
-        if rec.g_values is None:
-            continue
-        reports.append(CookReport(
-            lam=rec.lam, omega=config.omega, nodes=sweep.nodes, weights=weights,
-            g_values=rec.g_values, bound=rec.bound, bound_coarse=rec.bound_coarse,
-            quad_self_error=abs(rec.bound - rec.bound_coarse),
-            quad_flag=rec.quad_flag, measured_error=rec.error,
-            slack=None if rec.error is None else rec.bound - rec.error,
-            metadata={"panels": config.panels, "t0": sweep.nodes[0],
-                      "t": sweep.nodes[-1]}))
-    return reports
+def cook_reports(sweep: SweepResult) -> list[dict]:
+    """The certificate of each wavelength that ran, with the error it certifies."""
+    config, nodes = sweep.config, sweep.nodes
+    _, weights = simpson_weights(2 * config.panels, nodes[0], nodes[-1])
+    return [{"lambda": rec.lam, "omega": config.omega,
+             "nodes": [float(x) for x in nodes], "weights": [float(x) for x in weights],
+             "g_values": [float(x) for x in rec.g_values],
+             "bound": rec.bound, "bound_coarse": rec.bound_coarse,
+             "quad_self_error": abs(rec.bound - rec.bound_coarse),
+             "quad_flag": rec.quad_flag, "measured_error": rec.error,
+             "slack": rec.bound - rec.error,
+             "panels": config.panels, "t0": float(nodes[0]), "t": float(nodes[-1])}
+            for rec in sweep.records if rec.g_values is not None]
 
 
 def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> dict:
@@ -515,20 +506,21 @@ def _write_cook_csv(path, result: SweepResult, config_hash: str) -> None:
                                  repr(float(g)), config_hash])
 
 
-def run_study(config: StudyConfig, outdir, sweep: SweepResult | None = None) -> Path:
-    """Gauge check + sweep + certificate table, persisted under the config hash."""
-    config.validate()
-    chash = config.config_hash()
-    target = Path(outdir) / config.preset / chash
-    target.mkdir(parents=True, exist_ok=True)
-    (target / "snapshots").mkdir(exist_ok=True)
+def run_study(config: StudyConfig, outdir) -> Path:
+    """Gauge check + sweep + certificate table, persisted under the config hash.
 
+    The gauge check validates the config; the output directory is made only
+    once both runs have finished.
+    """
     wall_start = time.perf_counter()
     # the gauge check first: both ground solves, which hold the study's
     # largest blocks, then run before the Krylov sweep's short-lived bases
     gauge_report = run_gauge_check(config)
-    if sweep is None:
-        sweep = run_convergence_sweep(config)
+    sweep = run_convergence_sweep(config)
+
+    chash = config.config_hash()
+    target = Path(outdir) / config.preset / chash
+    (target / "snapshots").mkdir(parents=True, exist_ok=True)
 
     _write_sweep_csv(target / "sweep.csv", sweep, chash)
     _write_cook_csv(target / "cook.csv", sweep, chash)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -174,19 +175,19 @@ def test_node_run_rejects_steps_that_miss_a_node():
 
 @pytest.fixture(scope="module")
 def trimmed_reports():
-    return harness.run_cook_comparison(trimmed_config())
+    return harness.cook_reports(harness.run_convergence_sweep(trimmed_config()))
 
 
 def test_cook_bound_certifies_measured_error(trimmed_reports):
     for rep in trimmed_reports:
-        assert rep.measured_error <= 1.05 * rep.bound + 1e-6
-        assert rep.slack == pytest.approx(rep.bound - rep.measured_error)
-        assert not rep.quad_flag
-        assert np.all(rep.g_values >= 0.0)
+        assert rep["measured_error"] <= 1.05 * rep["bound"] + 1e-6
+        assert rep["slack"] == pytest.approx(rep["bound"] - rep["measured_error"])
+        assert not rep["quad_flag"]
+        assert np.all(np.asarray(rep["g_values"]) >= 0.0)
 
 
 def test_cook_bound_halves_per_lambda_doubling(trimmed_reports):
-    bounds = {rep.lam: rep.bound for rep in trimmed_reports}
+    bounds = {rep["lambda"]: rep["bound"] for rep in trimmed_reports}
     ratio = bounds[40.0] / bounds[20.0]
     assert 0.4 <= ratio <= 0.6
 
@@ -210,3 +211,28 @@ def test_report_serialization(tmp_path):
     for rep in payload["reports"]:
         assert len(rep["g_values"]) == len(rep["nodes"]) == len(rep["weights"])
         assert rep["slack"] == pytest.approx(rep["bound"] - rep["measured_error"])
+
+
+def test_certificate_is_the_same_in_every_artifact(tmp_path):
+    # cook_reports.json, sweep.csv and cook.csv carry one certificate: for
+    # every wavelength the same B, e and g(s), bit for bit
+    cfg = trimmed_config()
+    ini = tmp_path / "study.ini"
+    cfg.write_ini(ini)
+    out = tmp_path / "out"
+    assert cli.main(["cook", "--config", str(ini), "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--config", str(ini), "--out", str(out)]) == 0
+    reports = json.loads((out / "cook_reports.json").read_text())["reports"]
+    target = out / cfg.preset / cfg.config_hash()
+    with open(target / "sweep.csv", newline="") as fh:
+        rows = {row["lambda"]: row for row in csv.DictReader(fh)}
+    with open(target / "cook.csv", newline="") as fh:
+        samples = list(csv.DictReader(fh))
+    assert [repr(rep["lambda"]) for rep in reports] == list(rows) == ["20.0", "40.0"]
+    for rep in reports:
+        lam = repr(rep["lambda"])
+        assert repr(rep["bound"]) == rows[lam]["cook_bound"]
+        assert repr(rep["measured_error"]) == rows[lam]["error"]
+        mine = [row for row in samples if row["lambda"] == lam]
+        assert [row["s"] for row in mine] == [repr(s) for s in rep["nodes"]]
+        assert [row["g"] for row in mine] == [repr(g) for g in rep["g_values"]]

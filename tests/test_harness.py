@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dipolelab
-from dipolelab import cli, harness, spatial
+from dipolelab import cli, harness, propagate as prop, spatial
 from dipolelab.errors import ConfigError, NumericalError
 from dipolelab.gauge import phase_fidelity
 
@@ -276,11 +276,11 @@ def test_sweep_records_only_numerical_failures(monkeypatch):
 
 def test_cook_comparison_reports():
     cfg = trimmed_config()
-    reports = harness.run_cook_comparison(cfg)
-    assert [r.lam for r in reports] == list(cfg.lambdas)
+    reports = harness.cook_reports(harness.run_convergence_sweep(cfg))
+    assert [r["lambda"] for r in reports] == list(cfg.lambdas)
     for rep in reports:
-        assert rep.measured_error <= 1.05 * rep.bound + 1e-6
-        assert len(rep.g_values) == len(rep.nodes)
+        assert rep["measured_error"] <= 1.05 * rep["bound"] + 1e-6
+        assert len(rep["g_values"]) == len(rep["nodes"])
 
 
 def test_gauge_check_and_negative_control():
@@ -625,6 +625,43 @@ def test_cli_numerical_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "run_convergence_sweep", explode)
     monkeypatch.setattr(cli, "run_convergence_sweep", explode)
     assert cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path)]) == 2
+
+
+def test_cli_sweep_runs_the_gauge_check_before_the_sweep(monkeypatch, tmp_path):
+    # both ground solves then come before the Krylov sweep, as in preset
+    order = []
+    for module in (cli, harness):
+        for name, label in (("run_gauge_check", "gauge"), ("run_convergence_sweep", "sweep")):
+            run = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, run=run, label=label: (order.append(label),
+                                                                  run(*a))[1])
+    ini = tmp_path / "study.ini"
+    trimmed_config().write_ini(ini)
+    assert cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    assert order == ["gauge", "sweep"]
+
+
+@pytest.mark.parametrize("command", ["preset", "sweep"])
+def test_cli_study_with_failed_wavelengths_prints_them_and_exits_2(
+        monkeypatch, tmp_path, capsys, command):
+    evolve = harness.evolve
+
+    def krylov_fails(spec, psi0, config, *args, **kwargs):
+        if config.method == prop.KRYLOV:
+            raise NumericalError("synthetic Krylov failure")
+        return evolve(spec, psi0, config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", krylov_fails)
+    ini = tmp_path / "cw-1d.ini"
+    harness.preset_config("cw-1d").write_ini(ini)
+    argv = ["preset", "cw-1d"] if command == "preset" else ["sweep", "--config", str(ini)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if "FAILED: synthetic Krylov failure" in line]
+    assert [line.split()[0] for line in failed] == [
+        "lambda=10", "lambda=20", "lambda=40", "lambda=80"]
+    assert "decay slope: None" in lines
 
 
 def test_sweep_peak_memory_does_not_grow_with_panels():
