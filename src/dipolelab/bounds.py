@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -344,19 +344,7 @@ class BoundsReport:
     grid_lengths: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "alphas": [float(a) for a in self.alphas],
-            "q_values": [float(q) for q in self.q_values],
-            "alpha_star": self.alpha_star,
-            "epsilons": [float(e) for e in self.epsilons],
-            "c_eps": [float(c) for c in self.c_eps],
-            "graph_alpha": self.graph_alpha,
-            "graph_interval": [float(self.graph_interval[0]), float(self.graph_interval[1])],
-            "probe_description": self.probe_description,
-            "seed": self.seed,
-            "grid_shape": list(self.grid_shape),
-            "grid_lengths": list(self.grid_lengths),
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         lines = ["alpha      q(alpha)"]

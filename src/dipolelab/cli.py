@@ -25,7 +25,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .errors import ConfigError, NumericalError  # noqa: E402
 from .harness import (PRESETS, StudyConfig, cook_reports, preset_config,  # noqa: E402
                       run_bounds_check, run_convergence_sweep, run_field_check,
-                      run_gauge_check, run_study)
+                      run_gauge_check, run_study, write_json)
 
 
 @functools.cache
@@ -71,9 +71,7 @@ def _emit(payload: dict, outdir: str, name: str) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
     print(f"wrote {path}")
 
 

@@ -16,10 +16,14 @@ appears as an independent parameter: c = omega*lam/(2*pi) is implied by
 
 Geometry convention: propagation and polarization vectors live in a "field
 space" whose dimension may exceed the simulation grid's.  Grid coordinates
-embed as the leading field coordinates (padded with zeros).  A 1D run along
-the propagation axis therefore carries a polarization pointing off-grid; its
-coupling survives only through |a|^2.  Two-dimensional single-particle runs
-can hold both vectors in-plane and exercise the gradient coupling as well.
+embed as the leading field coordinates (padded with zeros): each particle's
+grid axis i carries field component i, and further components are off-grid.
+A 1D run along the propagation axis therefore carries a polarization pointing
+off-grid; its coupling survives only through |a|^2.  Two-dimensional
+single-particle runs can hold both vectors in-plane and exercise the
+gradient coupling as well.  ``_sampling_geometry`` is the convention's one
+implementation: ``coupling_arrays`` and ``length_gauge_term`` read it, and
+no other module reads an envelope's vectors.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .spatial import spectral_axis_derivative
 
 CW = "cw"
 PULSE = "pulse"
@@ -160,20 +165,22 @@ def validate_envelope(env: LaserEnvelope) -> None:
         raise ConfigError("amplitude must be finite")
 
 
-def plane_wave_cw(amplitude: float, k_hat: Sequence[float],
-                  eps_hat: Sequence[float]) -> LaserEnvelope:
-    env = LaserEnvelope(CW, float(amplitude), np.asarray(k_hat, float),
-                        np.asarray(eps_hat, float))
+def _validated(kind: str, amplitude: float, k_hat: Sequence[float],
+               eps_hat: Sequence[float]) -> LaserEnvelope:
+    """The envelope of the factory constructors, checked by ``validate_envelope``."""
+    env = LaserEnvelope(kind, float(amplitude), k_hat, eps_hat)
     validate_envelope(env)
     return env
+
+
+def plane_wave_cw(amplitude: float, k_hat: Sequence[float],
+                  eps_hat: Sequence[float]) -> LaserEnvelope:
+    return _validated(CW, amplitude, k_hat, eps_hat)
 
 
 def gaussian_pulse(amplitude: float, k_hat: Sequence[float],
                    eps_hat: Sequence[float]) -> LaserEnvelope:
-    env = LaserEnvelope(PULSE, float(amplitude), np.asarray(k_hat, float),
-                        np.asarray(eps_hat, float))
-    validate_envelope(env)
-    return env
+    return _validated(PULSE, amplitude, k_hat, eps_hat)
 
 
 def zero_envelope(field_dim: int = 2) -> LaserEnvelope:
@@ -194,38 +201,27 @@ def transverse_envelope(kind: str, amplitude: float, grid_dim: int) -> LaserEnve
     k[0] = 1.0
     e = np.zeros(grid_dim + 1)
     e[-1] = 1.0
-    env = LaserEnvelope(kind, float(amplitude), k, e)
-    validate_envelope(env)
-    return env
+    return _validated(kind, amplitude, k, e)
 
 
 def in_plane_envelope(kind: str, amplitude: float) -> LaserEnvelope:
     """Propagation along axis 1, polarization along axis 2 (2D+ grids only)."""
     if kind == ZERO:
         return zero_envelope(2)
-    env = LaserEnvelope(kind, float(amplitude),
-                        np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    validate_envelope(env)
-    return env
-
-
-def _embed(env: LaserEnvelope, x) -> np.ndarray:
-    """Pad a (batch of) position(s) with zeros up to the field dimension."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = env.field_dim
-    if x.shape[-1] > m:
-        raise ConfigError(
-            f"position dimension {x.shape[-1]} exceeds field dimension {m}")
-    if x.shape[-1] == m:
-        return x
-    pad = [(0, 0)] * (x.ndim - 1) + [(0, m - x.shape[-1])]
-    return np.pad(x, pad)
+    return _validated(kind, amplitude, [1.0, 0.0], [0.0, 1.0])
 
 
 def ray_coordinate(env: LaserEnvelope, x, t: float) -> np.ndarray:
-    """u = 2*pi*k_hat.x - t for envelope coordinates (x, t)."""
-    xe = _embed(env, x)
-    return 2.0 * np.pi * (xe @ env.k_hat) - t
+    """u = 2*pi*k_hat.x - t for envelope coordinates (x, t).
+
+    A position embeds as the leading field coordinates, so it meets the
+    leading components of k_hat.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] > env.field_dim:
+        raise ConfigError(
+            f"position dimension {x.shape[-1]} exceeds field dimension {env.field_dim}")
+    return 2.0 * np.pi * (x @ env.k_hat[:x.shape[-1]]) - t
 
 
 def eval_envelope(env: LaserEnvelope, x, t: float) -> np.ndarray:
@@ -298,8 +294,6 @@ def check_divergence_free(env: LaserEnvelope, grid, lam: float = 1.0) -> Diverge
     than rejected; wrap-around discontinuities then pollute the spectral
     derivative and the number is diagnostic only.
     """
-    from .spatial import spectral_axis_derivative  # local import avoids a cycle
-
     commensurate = is_commensurate(env, grid, lam)
     fld = ScaledField(env, lam, 1.0)  # at omega = 1, b is a itself
     max_defect = 0.0
@@ -314,19 +308,6 @@ def check_divergence_free(env: LaserEnvelope, grid, lam: float = 1.0) -> Diverge
     warning = "" if commensurate else "grid not commensurate with envelope period"
     return DivergenceReport(max_defect=max_defect, commensurate=commensurate,
                             warning=warning)
-
-
-def grid_components(vec: np.ndarray, grid) -> np.ndarray:
-    """A field-space vector's component along each of one particle's grid axes.
-
-    Grid coordinates embed as the leading field coordinates, so grid axis i
-    carries component i; grid axes beyond the field dimension carry 0 and
-    field components beyond the grid dimension are off-grid.
-    """
-    out = np.zeros(grid.per_particle_dim)
-    m = min(out.shape[0], vec.shape[0])
-    out[:m] = vec[:m]
-    return out
 
 
 # Sampling geometry is kept for the GEOMETRY_CACHE_SIZE most recently added
@@ -353,8 +334,8 @@ def _sampling_geometry(field: ScaledField, grid):
     if hit is not None:
         return hit
     d = grid.per_particle_dim
-    k = grid_components(env.k_hat, grid)
-    eps = grid_components(env.eps_hat, grid)
+    # grid axis i of each particle carries field component i
+    k, eps = env.k_hat[:d], env.eps_hat[:d]
     rays, eps_axes, periodic = [], [], True
     for p in range(grid.particles):
         u = np.zeros((1,) * grid.dim)
@@ -400,3 +381,22 @@ def coupling_arrays(field: ScaledField, t: float, grid, dipole: bool = False):
         b_sq = b_sq + b * b
         b_axes.extend((axis, b * e) for axis, e in axes)
     return b_axes, b_sq
+
+
+def length_gauge_term(field: ScaledField, t: float, grid):
+    """(d/dt a)(0, omega t) . r  ==  -E(0,t) . r over the on-grid polarization.
+
+    None when no polarization component lies on the grid; otherwise an array
+    that has the grid's shape.
+    """
+    eps_axes = _sampling_geometry(field, grid)[1]
+    if not any(eps_axes):
+        return None
+    env = field.envelope
+    # a(0, s) = E f(-s) eps_hat, so d/ds a(0, s) = -E f'(-s) eps_hat.
+    adot = -env.amplitude * float(profile_derivative(env.kind, -field.omega * t))
+    term = np.zeros((1,) * grid.dim)
+    for axes in eps_axes:
+        for axis, e in axes:
+            term = term + adot * e * grid.mesh(axis)
+    return np.broadcast_to(term, grid.shape) if term.shape != grid.shape else term

@@ -33,8 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (ScaledField, coupling_arrays, grid_components, is_commensurate,
-                     profile_derivative)
+from .fields import ScaledField, coupling_arrays, is_commensurate, length_gauge_term
 from .fields import profile_value  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .spatial import Grid, fourier_pair, real_fourier_pair
 
@@ -175,20 +174,6 @@ def dipole_length(field: ScaledField, potential: PotentialModel) -> HamiltonianS
     return HamiltonianSpec(DIPOLE_LENGTH, field, potential)
 
 
-def length_gauge_term(field: ScaledField, t: float, grid: Grid) -> np.ndarray:
-    """(d/dt a)(0, omega t) . r  ==  -E(0,t) . r, on-grid components."""
-    env = field.envelope
-    # a(0, s) = E f(-s) eps_hat, so d/ds a(0, s) = -E f'(-s) eps_hat.
-    adot = -env.amplitude * float(profile_derivative(env.kind, -field.omega * t))
-    d = grid.per_particle_dim
-    eps = grid_components(env.eps_hat, grid)
-    term = np.zeros((1,) * grid.dim)
-    for p in range(grid.particles):
-        for i in np.flatnonzero(eps):
-            term = term + adot * eps[i] * grid.mesh(p * d + i)
-    return np.broadcast_to(term, grid.shape) if term.shape != grid.shape else term
-
-
 def coupling_terms(spec: HamiltonianSpec, t: float, grid: Grid):
     """(shift, diagonal, grads) of W(t) = F^-1 shift F + diagonal + sum_a g_a F^-1 ik_a F.
 
@@ -203,9 +188,8 @@ def coupling_terms(spec: HamiltonianSpec, t: float, grid: Grid):
     """
     v = potential_on_grid(spec.potential, grid)
     if spec.kind == DIPOLE_LENGTH:
-        if np.any(grid_components(spec.field.envelope.eps_hat, grid)):
-            v = v + length_gauge_term(spec.field, t, grid)
-        return 0.0, v, []
+        term = length_gauge_term(spec.field, t, grid)
+        return 0.0, v if term is None else v + term, []
     dipole = spec.kind == DIPOLE_VELOCITY
     if not dipole and not is_commensurate(spec.field.envelope, grid, spec.field.lam):
         raise ConfigError("full-coupling generator requires a commensurate field on the grid")

@@ -169,8 +169,8 @@ class StudyConfig:
             raise ConfigError(f"panels must lie in [1, MAX_STEPS / 4 = {MAX_STEPS // 4}]")
         if not 8 <= self.krylov_m <= 64:
             raise ConfigError("krylov_m must lie in [8, 64]")
-        if not (self.krylov_tol > 0 and self.ground_tol > 0):
-            raise ConfigError("krylov_tol and ground_tol must be positive")
+        if not (0 < self.krylov_tol < math.inf and 0 < self.ground_tol < math.inf):
+            raise ConfigError("krylov_tol and ground_tol must be finite and positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for name in ("t0", "t_final"):
@@ -478,6 +478,13 @@ def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> d
 # -- persistence ----------------------------------------------------------
 
 
+def write_json(path, payload: dict) -> None:
+    """A JSON artifact: sorted keys, two-space indent and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_sweep_csv(path, result: SweepResult, config_hash: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -524,11 +531,7 @@ def run_study(config: StudyConfig, outdir) -> Path:
 
     _write_sweep_csv(target / "sweep.csv", sweep, chash)
     _write_cook_csv(target / "cook.csv", sweep, chash)
-    gauge_payload = dict(gauge_report)
-    gauge_payload["config_hash"] = chash
-    with open(target / "gauge.json", "w") as fh:
-        json.dump(gauge_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(target / "gauge.json", {**gauge_report, "config_hash": chash})
 
     write_snapshot(target / "snapshots" / "initial.dplw", sweep.psi0)
     write_snapshot(target / "snapshots" / "dipole_final.dplw", sweep.dipole_final)
@@ -555,9 +558,7 @@ def run_study(config: StudyConfig, outdir) -> Path:
     }
     if config.envelope_kind == PULSE:
         manifest["pulse_window"] = PULSE_WINDOW
-    with open(target / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(target / "manifest.json", manifest)
     return target
 
 

@@ -74,6 +74,8 @@ class StepperConfig:
             raise ConfigError(f"unknown stepper method {self.method!r}")
         if not 8 <= self.krylov_m <= 64:
             raise ConfigError("krylov subspace dimension must lie in [8, 64]")
+        if not 0 < self.krylov_tol < math.inf:
+            raise ConfigError("krylov_tol must be finite and positive")
 
     @property
     def nsteps(self) -> int:

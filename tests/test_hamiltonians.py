@@ -185,7 +185,7 @@ def test_full_coupling_requires_commensurate_grid():
         apply(spec, 0.0, psi)
 
 
-def test_full_coupling_decides_commensurability_once_per_geometry(monkeypatch):
+def test_full_coupling_decides_commensurability_once_per_geometry():
     # the answer is kept with the cached sampling geometry: a repeated build
     # recomputes nothing, gives the same terms, and a non-commensurate field
     # raises the same error on every build
@@ -196,12 +196,11 @@ def test_full_coupling_decides_commensurability_once_per_geometry(monkeypatch):
     first = ham.coupling_terms(fit, 0.3, g)
     with pytest.raises(ConfigError) as refused:
         ham.coupling_terms(misfit, 0.3, g)
-
-    def recomputed(*args):
-        raise AssertionError("the sampling geometry was computed again")
-
-    monkeypatch.setattr(fields, "grid_components", recomputed)
+    cached = dict(fields._geometry_cache)
     again = ham.coupling_terms(fit, 0.3, g)
+    # the sampling geometry was not computed again: the same entries
+    assert fields._geometry_cache.keys() == cached.keys()
+    assert all(fields._geometry_cache[key] is entry for key, entry in cached.items())
     np.testing.assert_array_equal(again[1], first[1])
     # off-grid polarization: no shift and no gradient terms
     assert (again[0], again[2]) == (first[0], first[2]) == (0.0, [])

@@ -80,6 +80,7 @@ def test_config_validation():
     ("lambdas", ()), ("lambdas", (5e-324,)), ("amplitude", float("nan")),
     ("amplitude", 1e308), ("amplitude", 1e154), ("t_final", 1e308),
     ("dt", 1.6e-74), ("t_final", 1e154), ("panels", harness.MAX_STEPS // 4 + 1),
+    ("krylov_tol", float("inf")), ("ground_tol", float("inf")),
 ])
 def test_config_domain_checks(field, value):
     with pytest.raises(ConfigError):
@@ -501,8 +502,9 @@ def test_cli_malformed_ini(tmp_path, capsys, text):
     ("run", "panels", "1000000000000000"),
     ("run", "krylov_m", "100"), ("field", "amplitude", "1e308"),
     ("run", "t_final", "1e308"), ("run", "dt", "1.6e-74"), ("run", "t_final", "1e154"),
+    ("run", "krylov_tol", "inf"),
 ], ids=["omega-zero", "dt-nan", "panels-zero", "panels-1e15", "krylov-m-100",
-        "amplitude-1e308", "t-final-1e308", "dt-1.6e-74", "t-final-1e154"])
+        "amplitude-1e308", "t-final-1e308", "dt-1.6e-74", "t-final-1e154", "krylov-tol-inf"])
 def test_cli_config_hole_fails_before_compute(tmp_path, capsys, monkeypatch,
                                               command, section, key, value):
     def no_compute(*args, **kwargs):

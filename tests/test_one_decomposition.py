@@ -7,7 +7,8 @@ A module that reads a spec's ``kind`` or names a kind constant is a second
 decomposition.  Likewise one operator type in ``hamiltonians`` applies both
 H and W, and ``spatial`` alone cuts k^2 to the half spectrum of the real
 transforms.  ``propagate.StepperConfig.nsteps`` alone turns a time span into a
-step count.  The sources are parsed with ``ast``, nothing is imported.
+step count, and ``fields`` alone maps an envelope's field-space vectors onto
+grid axes.  The sources are parsed with ``ast``, nothing is imported.
 """
 
 import ast
@@ -144,3 +145,34 @@ def test_the_guard_sees_each_form_of_a_time_to_step_conversion():
               "m = round(span / width)\n"
               "q = (t1 - t0) / dt\n")
     assert time_to_step_conversions(ast.parse(source)) == [1, 2, 3, 4]
+
+
+ENVELOPE_VECTORS = {"k_hat", "eps_hat"}
+
+
+def envelope_vector_reads(tree: ast.AST) -> list[int]:
+    """Line numbers that read an attribute named k_hat or eps_hat, getattr included."""
+    lines = []
+    for node in ast.walk(tree):
+        attribute = isinstance(node, ast.Attribute) and node.attr in ENVELOPE_VECTORS
+        by_name = (isinstance(node, ast.Call) and terminal_name(node.func) == "getattr"
+                   and any(isinstance(arg, ast.Constant) and arg.value in ENVELOPE_VECTORS
+                           for arg in node.args))
+        if attribute or by_name:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_fields_reads_an_envelope_vector():
+    assert found_outside("fields.py", envelope_vector_reads) == {}
+
+
+def test_the_guard_sees_each_form_of_an_envelope_vector_read():
+    source = ("k = env.k_hat\n"
+              "e = spec.field.envelope.eps_hat[:2]\n"
+              "n = np.any(field.envelope.eps_hat)\n"
+              "v = getattr(env, 'k_hat')\n"
+              "m = env.field_dim\n"
+              "k_hat = np.zeros(2)\n"
+              "eps = k_hat[0]\n")
+    assert envelope_vector_reads(ast.parse(source)) == [1, 2, 3, 4]
