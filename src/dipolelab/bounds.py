@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -342,9 +342,6 @@ class BoundsReport:
     seed: int
     grid_shape: tuple
     grid_lengths: tuple
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     def format_table(self) -> str:
         lines = ["alpha      q(alpha)"]

@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 # OpenBLAS reads its thread count when numpy loads, so this precedes the imports
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             report = run_bounds_check(config)
             print(report.format_table())
-            _emit({**report.to_json_dict(), "config_hash": chash},
+            _emit({**asdict(report), "config_hash": chash},
                   args.out, "bounds.json")
             return 0
         if args.command == "field-check":

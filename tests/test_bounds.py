@@ -1,7 +1,7 @@
 import json
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -296,8 +296,8 @@ def test_bounds_suite_reproducible():
     g = spatial.make_grid(1, 256, 40.0)
     rep1 = bounds.run_bounds_suite(spec, 0.1, g, seed=33)
     rep2 = bounds.run_bounds_suite(spec, 0.1, g, seed=33)
-    assert rep1.to_json_dict() == rep2.to_json_dict()
-    payload = json.loads(json.dumps(rep1.to_json_dict()))
+    assert asdict(rep1) == asdict(rep2)
+    payload = json.loads(json.dumps(asdict(rep1)))
     assert payload["seed"] == 33
     table = rep1.format_table()
     assert "alpha" in table and "C_eps" in table.replace("C_eps", "C_eps")
@@ -330,7 +330,7 @@ def test_streamed_suite_equals_the_list_api_report(monkeypatch, preset, seed):
         grid_shape=grid.shape, grid_lengths=grid.lengths)
     assert seed_passed == seed
     # json text compares floats by their shortest round-trip repr: bit for bit
-    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert json.dumps(asdict(got)) == json.dumps(asdict(want))
 
 
 def test_bounds_suite_holds_one_probe_block_not_the_ensemble(monkeypatch):

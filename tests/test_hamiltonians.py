@@ -185,10 +185,11 @@ def test_full_coupling_requires_commensurate_grid():
         apply(spec, 0.0, psi)
 
 
-def test_full_coupling_decides_commensurability_once_per_geometry():
+def test_full_coupling_decides_commensurability_once_per_geometry(monkeypatch):
     # the answer is kept with the cached sampling geometry: a repeated build
     # recomputes nothing, gives the same terms, and a non-commensurate field
     # raises the same error on every build
+    monkeypatch.setattr(fields, "_geometry_cache", {})
     g = spatial.make_grid(1, 256, 40.0)
     env = fields.transverse_envelope("cw", 0.5, 1)
     fit, misfit = (ham.full_coupling(fields.ScaledField(env, lam, 1.0), ham.soft_core_coulomb())
@@ -196,11 +197,10 @@ def test_full_coupling_decides_commensurability_once_per_geometry():
     first = ham.coupling_terms(fit, 0.3, g)
     with pytest.raises(ConfigError) as refused:
         ham.coupling_terms(misfit, 0.3, g)
+    # both geometries are kept, the refused one too
+    assert len(fields._geometry_cache) == 2
     cached = dict(fields._geometry_cache)
     again = ham.coupling_terms(fit, 0.3, g)
-    # the sampling geometry was not computed again: the same entries
-    assert fields._geometry_cache.keys() == cached.keys()
-    assert all(fields._geometry_cache[key] is entry for key, entry in cached.items())
     np.testing.assert_array_equal(again[1], first[1])
     # off-grid polarization: no shift and no gradient terms
     assert (again[0], again[2]) == (first[0], first[2]) == (0.0, [])
@@ -208,6 +208,10 @@ def test_full_coupling_decides_commensurability_once_per_geometry():
         with pytest.raises(ConfigError) as again_refused:
             ham.coupling_terms(misfit, 0.3, g)
         assert str(again_refused.value) == str(refused.value)
+    # no later build, fit or misfit, computed the sampling geometry again:
+    # the same entries
+    assert fields._geometry_cache.keys() == cached.keys()
+    assert all(fields._geometry_cache[key] is entry for key, entry in cached.items())
 
 
 def test_nbody_reduces_to_soft_core():
