@@ -27,15 +27,22 @@ uniform(), so no bounds process loads numpy.random:
 
 The probe kernels work on stacked probe blocks (probe axis leading) of at
 most PROBE_BLOCK_POINTS grid points: 8 probes of a 512-point grid, one
-probe of a 128^2 grid.  run_bounds_suite makes one pass over its probes,
-drawn one block at a time: each block is transformed once, for both the
-Laplacian norms of the relative bound and the Sobolev norms of the graph
-norm, gets one W apply and one H apply, and is reduced to per-probe scalars
-before the next block is drawn.  So the suite holds one block, never the
-ensemble.  infinitesimal_bound_scan and graph_norm_constants take probe lists
-and run the same per-block kernels.  The estimates are grid-dependent;
-reports carry the grid and seed so numbers are reproducible bit-for-bit and
-never extrapolated to the continuum.
+probe of a 128^2 grid.  The seeded ensemble is drawn in those blocks: the
+generator is read probe by probe in index order, then the Box-Muller
+transform and inverse FFT of the block's band-limited probes and the
+exponentials of its Gaussian packets each run once over the block, in the
+block's own rows, so a block draw holds the block, the normal deviates and
+one exponential factor.  That arithmetic is element by element, so no
+probe depends, to the bit, on the block it is drawn in.  run_bounds_suite
+makes one pass over these blocks: each block is transformed once, for both
+the Laplacian norms of the relative bound and the Sobolev norms of the
+graph norm, gets one W apply and one H apply, and is reduced to per-probe
+scalars before the next block is drawn.  So the suite holds one block,
+never the ensemble.  infinitesimal_bound_scan and graph_norm_constants take
+probe lists (probe_ensemble gives the rows of the same blocks) and run the
+same per-block kernels.  The estimates are grid-dependent; reports carry the
+grid and seed so numbers are reproducible bit-for-bit and never
+extrapolated to the continuum.
 """
 
 from __future__ import annotations
@@ -86,17 +93,22 @@ class CouplingOperator(SpectralOperator):
         return cls(grid, 0.0, b_sq + np.zeros(grid.shape), grads)
 
 
-def _standard_normal(rng: random.Random, shape: tuple) -> np.ndarray:
-    """Standard normal deviates by the Box-Muller transform, in a C-order array.
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normal deviates from each row of 2n 32-bit integers: n per row.
 
-    Each deviate takes two 32-bit integers k as u = (k + 1/2) 2^-32, inside
-    (0, 1), so the logarithm never sees zero: a radius from the first half
-    of the integers and an angle from the second.
+    Each integer k becomes u = (k + 1/2) 2^-32, inside (0, 1), so the
+    logarithm never sees zero: a radius from the first half of the row and an
+    angle from the second.
     """
-    count = math.prod(shape)
-    u = (_random_words(rng, 2 * count) + 0.5) * 2.0 ** -32
-    radius = np.sqrt(-2.0 * np.log(u[:count]))
-    return (radius * np.cos(2.0 * np.pi * u[count:])).reshape(shape)
+    u = (words + 0.5) * 2.0 ** -32
+    count = u.shape[-1] // 2
+    radius = np.sqrt(-2.0 * np.log(u[..., :count]))
+    return radius * np.cos(2.0 * np.pi * u[..., count:])
+
+
+def _standard_normal(rng: random.Random, shape: tuple) -> np.ndarray:
+    """Standard normal deviates by the Box-Muller transform, in a C-order array."""
+    return _box_muller(_random_words(rng, 2 * math.prod(shape))).reshape(shape)
 
 
 def resolvent_apply(values: np.ndarray, grid: Grid, alpha: float,
@@ -275,40 +287,69 @@ def graph_norm_constants(spec: HamiltonianSpec, t: float, alpha: float,
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def _draw_probe(rng: random.Random, grid: Grid, idx: int) -> WaveFunction:
-    """Probe idx of the ensemble: band-limited noise for odd idx, else a
-    Gaussian with a random boost; unit-normalized."""
-    if idx % 2 == 1:
-        cutoff = max(2, min(grid.shape) // 4)
-        coeff = np.zeros(grid.shape, dtype=complex)
-        sel = tuple(slice(0, cutoff) for _ in range(grid.dim))
-        coeff[sel] = _standard_normal(rng, (cutoff,) * grid.dim)
-        coeff[sel] += 1j * _standard_normal(rng, (cutoff,) * grid.dim)
-        vals = np.fft.ifftn(coeff)
-    else:
-        vals = np.ones(grid.shape, dtype=complex)
+def _probe_block(rng: random.Random, grid: Grid, first: int, count: int) -> np.ndarray:
+    """Probes first .. first + count - 1 of the ensemble, stacked, each unit-normalized.
+
+    Odd indices are band-limited noise, even ones Gaussian packets with a
+    random boost.  The generator is read probe by probe in index order; the
+    arithmetic then runs once per kind over the block's probes of that kind,
+    element by element, so no row depends, to the bit, on how the ensemble
+    is split into blocks.
+    """
+    cutoff = max(2, min(grid.shape) // 4)
+    modes = cutoff ** grid.dim
+    spacing = grid.spacing
+    words, packets = [], []
+    for idx in range(first, first + count):
+        if idx % 2 == 1:
+            # real parts, then imaginary parts: two words per deviate
+            words += [_random_words(rng, 2 * modes), _random_words(rng, 2 * modes)]
+        else:
+            packet = []
+            for l, h in zip(grid.lengths, spacing):
+                c = rng.uniform(-l / 4, l / 4)
+                lo = 2.2 * h
+                sig = rng.uniform(lo, max(l / 8, 2.0 * lo))
+                k0 = rng.uniform(-1.0, 1.0) * np.pi / (3.0 * h)
+                packet.append((c, 2 * sig ** 2, k0))
+            packets.append(packet)
+    # row j holds probe first + j
+    block = np.empty((count,) + grid.shape, dtype=complex)
+    if words:
+        parts = _box_muller(np.stack(words)).reshape((-1, 2) + (cutoff,) * grid.dim)
+        coeff = block[1 - first % 2::2]
+        coeff[...] = 0.0
+        sel = (slice(None),) + (slice(0, cutoff),) * grid.dim
+        coeff[sel] = parts[:, 0]
+        coeff[sel] += 1j * parts[:, 1]
+        fourier_pair(grid)[1](coeff, out=coeff)
+    if packets:
+        params = np.array(packets)
+        lead = (len(packets),) + (1,) * grid.dim
+        vals = block[first % 2::2]
+        vals[...] = 1.0
         for axis in range(grid.dim):
-            l = grid.lengths[axis]
-            c = rng.uniform(-l / 4, l / 4)
-            lo = 2.2 * grid.spacing[axis]
-            sig = rng.uniform(lo, max(l / 8, 2.0 * lo))
-            k0 = rng.uniform(-1.0, 1.0) * np.pi / (3.0 * grid.spacing[axis])
+            c, den, k0 = (params[:, axis, j].reshape(lead) for j in range(3))
             x = grid.mesh(axis)
-            vals = vals * np.exp(-(x - c) ** 2 / (2 * sig ** 2) + 1j * k0 * x)
-    n = np.linalg.norm(vals.ravel()) * np.sqrt(grid.cell_volume)
-    return WaveFunction(grid, vals / n)
+            vals *= np.exp(-(x - c) ** 2 / den + 1j * k0 * x)
+    scale = np.sqrt(grid.cell_volume)
+    for row in block:
+        row /= np.linalg.norm(row.ravel()) * scale
+    return block
 
 
-def iter_probe_ensemble(grid: Grid, count: int, seed: int) -> Iterator[WaveFunction]:
-    """Reproducible probe states, drawn one at a time from one seeded generator."""
+def _drawn_blocks(grid: Grid, count: int, seed: int) -> Iterator[np.ndarray]:
+    """The count-probe ensemble of seed, drawn in the blocks probe_blocks stacks."""
     rng = random.Random(seed)
-    for idx in range(count):
-        yield _draw_probe(rng, grid, idx)
+    per_block = max(1, PROBE_BLOCK_POINTS // grid.npoints)
+    for first in range(0, count, per_block):
+        yield _probe_block(rng, grid, first, min(per_block, count - first))
 
 
 def probe_ensemble(grid: Grid, count: int, seed: int) -> list[WaveFunction]:
-    """The states of iter_probe_ensemble as a list."""
-    return list(iter_probe_ensemble(grid, count, seed))
+    """Reproducible probe states, drawn from one seeded generator a block at a time."""
+    return [WaveFunction(grid, row) for block in _drawn_blocks(grid, count, seed)
+            for row in block]
 
 
 def plane_wave_probes(grid: Grid, mode_indices: Sequence[tuple]) -> list[WaveFunction]:
@@ -361,9 +402,10 @@ class BoundsReport:
 def run_bounds_suite(spec: HamiltonianSpec, t: float, grid: Grid, seed: int) -> BoundsReport:
     """Full scan set against one generator at one time.
 
-    The probes are drawn block by block and each block is reduced to its
-    per-probe scalars before the next is drawn; the report equals the one
-    the list functions give on probe_ensemble(grid, SUITE_PROBES, seed).
+    The probes are drawn block by block, in the blocks probe_blocks would
+    stack, and each block is reduced to its per-probe scalars before the
+    next is drawn; the report equals the one the list functions give on
+    probe_ensemble(grid, SUITE_PROBES, seed).
     """
     w_op = CouplingOperator.from_spec(spec, t, grid)
     alpha_arr, q, alpha_star = contraction_scan(w_op, SUITE_ALPHAS, seed=seed)
@@ -371,7 +413,7 @@ def run_bounds_suite(spec: HamiltonianSpec, t: float, grid: Grid, seed: int) -> 
     forward, _ = fourier_pair(grid)
     weight = _sobolev_weight(grid)
     rows, ratios = [], []
-    for block in probe_blocks(iter_probe_ensemble(grid, SUITE_PROBES, seed)):
+    for block in _drawn_blocks(grid, SUITE_PROBES, seed):
         # one transform feeds both spectral norms and is dropped before the applies
         vhat = forward(block)
         lap, sobolev = _laplacian_norms(vhat, grid), _sobolev_norms(vhat, grid, weight)

@@ -23,9 +23,9 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 from .errors import ConfigError, NumericalError  # noqa: E402
-from .harness import (PRESETS, StudyConfig, cook_reports, preset_config,  # noqa: E402
-                      run_bounds_check, run_convergence_sweep, run_field_check,
-                      run_gauge_check, run_study, write_json)
+from .harness import (PRESETS, StudyConfig, check_output_dir, cook_reports,  # noqa: E402
+                      preset_config, run_bounds_check, run_convergence_sweep,
+                      run_field_check, run_gauge_check, run_study, write_json)
 
 
 @functools.cache
@@ -103,6 +103,7 @@ def main(argv=None) -> int:
         if args.command in ("preset", "sweep"):
             return _report_study(run_study(config, args.out))
 
+        check_output_dir(args.out)
         chash = config.config_hash()
         if args.command == "gauge-check":
             report = run_gauge_check(config)

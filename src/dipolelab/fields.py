@@ -22,8 +22,9 @@ A 1D run along the propagation axis therefore carries a polarization pointing
 off-grid; its coupling survives only through |a|^2.  Two-dimensional
 single-particle runs can hold both vectors in-plane and exercise the
 gradient coupling as well.  ``_sampling_geometry`` is the convention's one
-implementation: ``coupling_arrays`` and ``length_gauge_term`` read it, and
-no other module reads an envelope's vectors.
+implementation: ``coupling_arrays``, ``full_coupling_arrays`` and
+``length_gauge_term`` read it, and no other module reads an envelope's
+vectors.
 """
 
 from __future__ import annotations
@@ -367,8 +368,26 @@ def coupling_arrays(field: ScaledField, t: float, grid, dipole: bool = False):
     arrays that broadcast against the grid.  Only the profile is evaluated
     per call; the geometry comes from ``_sampling_geometry``.
     """
+    return _sample_coupling(field, t, grid, _sampling_geometry(field, grid), dipole)
+
+
+def full_coupling_arrays(field: ScaledField, t: float, grid):
+    """The spatial ``coupling_arrays`` of the full generator, which needs a periodic field.
+
+    A plane wave must fit the box (``is_commensurate``), since the spectral
+    gradient would otherwise see it wrap.  One ``_sampling_geometry`` lookup
+    both decides that and feeds the samples.
+    """
+    geometry = _sampling_geometry(field, grid)
+    if field.envelope.kind == CW and not geometry[2]:
+        raise ConfigError("full-coupling generator requires a commensurate field on the grid")
+    return _sample_coupling(field, t, grid, geometry, False)
+
+
+def _sample_coupling(field: ScaledField, t: float, grid, geometry, dipole: bool):
+    """``coupling_arrays`` from the field's ``_sampling_geometry`` entry."""
     env = field.envelope
-    rays, eps_axes, _ = _sampling_geometry(field, grid)
+    rays, eps_axes, _ = geometry
     amp = env.amplitude / field.omega
     s = field.omega * t
     if dipole:

@@ -10,9 +10,11 @@ Three generator kinds:
   dipole_length   -Laplacian + V + da/dt(0, omega t).r
 
 expanded in Coulomb gauge as -Lap + W, W = 2i b.grad + |b|^2 + V with b sampled
-by ``fields.coupling_arrays``.  ``coupling_terms`` is the one map from a kind
-to the pieces of W: a momentum-space shift, a diagonal and gradient terms.
-The dipole velocity coupling is constant in space, so all of it is the shift
+by ``fields.coupling_arrays`` (``fields.full_coupling_arrays`` for the full
+kind, which refuses a field that is not periodic on the grid).
+``coupling_terms`` is the one map from a kind to the pieces of W: a
+momentum-space shift, a diagonal and gradient terms.  The dipole velocity
+coupling is constant in space, so all of it is the shift
 |b|^2 - 2 b.k; the full coupling puts |b|^2 on the diagonal and adds one
 gradient transform per coupled axis.  Vector components of b beyond the grid
 dimension (transverse geometries) cannot act through the gradient; they
@@ -33,7 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScaledField, coupling_arrays, is_commensurate, length_gauge_term
+from .fields import (ScaledField, coupling_arrays, full_coupling_arrays,
+                     length_gauge_term)
 from .fields import profile_value  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .spatial import Grid, fourier_pair, real_fourier_pair
 
@@ -190,12 +193,10 @@ def coupling_terms(spec: HamiltonianSpec, t: float, grid: Grid):
     if spec.kind == DIPOLE_LENGTH:
         term = length_gauge_term(spec.field, t, grid)
         return 0.0, v if term is None else v + term, []
-    dipole = spec.kind == DIPOLE_VELOCITY
-    if not dipole and not is_commensurate(spec.field.envelope, grid, spec.field.lam):
-        raise ConfigError("full-coupling generator requires a commensurate field on the grid")
-    b_axes, b_sq = coupling_arrays(spec.field, t, grid, dipole=dipole)
-    if not dipole:
+    if spec.kind == FULL:
+        b_axes, b_sq = full_coupling_arrays(spec.field, t, grid)
         return 0.0, v + b_sq, [(2j * b, 1j * grid.k_mesh(axis)) for axis, b in b_axes]
+    b_axes, b_sq = coupling_arrays(spec.field, t, grid, dipole=True)
     for axis, b in b_axes:
         b_sq = b_sq - 2.0 * b * grid.k_mesh(axis)
     return b_sq, v, []

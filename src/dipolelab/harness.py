@@ -18,6 +18,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -478,6 +479,19 @@ def run_gauge_check(config: StudyConfig, omega_length: float | None = None) -> d
 # -- persistence ----------------------------------------------------------
 
 
+def check_output_dir(outdir) -> None:
+    """ConfigError unless outdir is, or can be made, a writable directory.
+
+    Decided from the nearest existing path, so nothing is created.
+    """
+    path = Path(outdir).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {outdir}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"output path {outdir}: {existing} is not writable")
+
+
 def write_json(path, payload: dict) -> None:
     """A JSON artifact: sorted keys, two-space indent and a trailing newline."""
     with open(path, "w") as fh:
@@ -516,17 +530,18 @@ def _write_cook_csv(path, result: SweepResult, config_hash: str) -> None:
 def run_study(config: StudyConfig, outdir) -> Path:
     """Gauge check + sweep + certificate table, persisted under the config hash.
 
-    The gauge check validates the config; the output directory is made only
-    once both runs have finished.
+    The gauge check validates the config; the output directory is checked
+    before either run and made only once both have finished.
     """
     wall_start = time.perf_counter()
+    chash = config.config_hash()
+    target = Path(outdir) / config.preset / chash
+    check_output_dir(target)
     # the gauge check first: both ground solves, which hold the study's
     # largest blocks, then run before the Krylov sweep's short-lived bases
     gauge_report = run_gauge_check(config)
     sweep = run_convergence_sweep(config)
 
-    chash = config.config_hash()
-    target = Path(outdir) / config.preset / chash
     (target / "snapshots").mkdir(parents=True, exist_ok=True)
 
     _write_sweep_csv(target / "sweep.csv", sweep, chash)

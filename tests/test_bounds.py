@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import warnings
@@ -471,6 +472,41 @@ def test_probe_blocks_stay_within_the_point_budget():
             assert len(block) == 1 or block.size <= bounds.PROBE_BLOCK_POINTS
         np.testing.assert_array_equal(np.concatenate(blocks),
                                       np.stack([p.values for p in probes]))
+
+
+@pytest.mark.parametrize("shape, lengths, digest", [
+    # 8 probes per block, the last block partial
+    ((512,), (80.0,), "15271d7303097f8f3b3fc05d46b291697016246c7871df2e91aa93874403f2d8"),
+    # 4 probes per block
+    ((32, 32), (40.0, 40.0), "e92644a901dc7d538a2b03adfe5ee563903935b161b00c2e8aed526d48b5b4f2"),
+    # one probe per block, so half the blocks start at an odd index
+    ((64, 64), (40.0, 40.0), "d2e85f1e23e927542810ca67c8f7fec9fc04eb96309982988b7ac22f660b257f"),
+], ids=["1d-512", "2d-32x32", "2d-64x64"])
+def test_probe_ensemble_bytes_are_pinned(shape, lengths, digest):
+    # every bounds.json reads these probes: their bytes must not move
+    g = spatial.make_grid(len(shape), list(shape), list(lengths))
+    values = np.stack([p.values for p in bounds.probe_ensemble(g, 70, seed=3)])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_bounds_suite_reads_the_blocks_of_the_probe_ensemble(monkeypatch, case):
+    spec, g = BATCH_CASES[case]()
+    fixed = (np.array(bounds.SUITE_ALPHAS), np.ones(len(bounds.SUITE_ALPHAS)), None)
+    monkeypatch.setattr(bounds, "contraction_scan", lambda *args, **kwargs: fixed)
+    read = []
+
+    def spy(w_op, block, lap_norms):
+        read.append(block.copy())
+        return relative_rows(w_op, block, lap_norms)
+
+    relative_rows = bounds._relative_rows
+    monkeypatch.setattr(bounds, "_relative_rows", spy)
+    bounds.run_bounds_suite(spec, 0.3, g, seed=11)
+    want = list(bounds.probe_blocks(bounds.probe_ensemble(g, bounds.SUITE_PROBES, seed=11)))
+    assert len(read) == len(want)
+    for got, block in zip(read, want):
+        assert got.tobytes() == block.tobytes() and got.shape == block.shape
 
 
 def test_resolvent_power_two_is_two_applications():

@@ -188,8 +188,17 @@ def test_full_coupling_requires_commensurate_grid():
 def test_full_coupling_decides_commensurability_once_per_geometry(monkeypatch):
     # the answer is kept with the cached sampling geometry: a repeated build
     # recomputes nothing, gives the same terms, and a non-commensurate field
-    # raises the same error on every build
+    # raises the same error on every build; every build, fit or misfit,
+    # looks its geometry up once
     monkeypatch.setattr(fields, "_geometry_cache", {})
+    lookups = []
+
+    def lookup(field, grid):
+        lookups.append(field.lam)
+        return sampling_geometry(field, grid)
+
+    sampling_geometry = fields._sampling_geometry
+    monkeypatch.setattr(fields, "_sampling_geometry", lookup)
     g = spatial.make_grid(1, 256, 40.0)
     env = fields.transverse_envelope("cw", 0.5, 1)
     fit, misfit = (ham.full_coupling(fields.ScaledField(env, lam, 1.0), ham.soft_core_coulomb())
@@ -212,6 +221,7 @@ def test_full_coupling_decides_commensurability_once_per_geometry(monkeypatch):
     # the same entries
     assert fields._geometry_cache.keys() == cached.keys()
     assert all(fields._geometry_cache[key] is entry for key, entry in cached.items())
+    assert lookups == [10.0, 33.0, 10.0, 33.0, 33.0]
 
 
 def test_nbody_reduces_to_soft_core():

@@ -81,7 +81,17 @@ def test_config_validation():
     ("amplitude", 1e308), ("amplitude", 1e154), ("t_final", 1e308),
     ("dt", 1.6e-74), ("t_final", 1e154), ("panels", harness.MAX_STEPS // 4 + 1),
     ("krylov_tol", float("inf")), ("ground_tol", float("inf")),
-])
+], ids=["dt-0.0", "dt--0.001", "dt-nan", "dt-inf",
+        "omega-0.0", "omega-nan", "omega-inf",
+        "panels-0", "krylov_m-7", "krylov_m-65",
+        "krylov_tol-0.0", "krylov_tol-nan",
+        "ground_tol--1e-08", "ground_tol-nan",
+        "t0-nan", "t_final-inf",
+        "lambdas-nan", "lambdas-zero-first", "lambdas-inf-last", "seed--1",
+        "lambdas-empty", "lambdas-subnormal", "amplitude-nan",
+        "amplitude-1e+308", "amplitude-1e+154", "t_final-1e+308",
+        "dt-1.6e-74", "t_final-1e+154", f"panels-{harness.MAX_STEPS // 4 + 1}",
+        "krylov_tol-inf", "ground_tol-inf"])
 def test_config_domain_checks(field, value):
     with pytest.raises(ConfigError):
         trimmed_config(**{field: value})
@@ -545,6 +555,35 @@ def test_cli_sweep_off_the_step_lattice_fails_before_compute(tmp_path, capsys,
     # a span within the step-count tolerance of zero is zero steps, no lattice
     with pytest.raises(ConfigError, match="divisible by 128"):
         replace(harness.preset_config("cw-1d"), t0=1.0, t_final=1.0 + 1e-12).validate()
+
+
+@pytest.mark.parametrize("command, layout", [
+    ("field-check", "file"), ("field-check", "under-file"),
+    ("sweep", "file"), ("sweep", "under-file"), ("sweep", "study-dir-under-file"),
+])
+def test_cli_unusable_out_fails_before_compute(tmp_path, capsys, monkeypatch, command, layout):
+    # a regular file where the output directory, one of its parents, or the
+    # preset directory a study writes into would go
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the study ran for an unusable output path")
+
+    monkeypatch.setattr(harness, "run_gauge_check", no_compute)
+    monkeypatch.setattr(cli, "run_field_check", no_compute)
+    ini = tmp_path / "study.ini"
+    harness.preset_config("cw-1d").write_ini(ini)
+    out = tmp_path / "out"
+    blocker = {"file": out, "under-file": out,
+               "study-dir-under-file": out / harness.StudyConfig.from_ini(ini).preset}[layout]
+    blocker.parent.mkdir(exist_ok=True)
+    blocker.write_text("")
+    if layout == "under-file":
+        out = out / "sub"
+    assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: output path")
+    assert blocker.read_text() == ""
 
 
 def test_cli_unknown_subcommand():
